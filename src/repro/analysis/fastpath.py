@@ -1,31 +1,32 @@
-"""Static fast-path eligibility verdicts for every registered model.
+"""Fast-path eligibility verdicts for every registered model.
 
-Built on :mod:`repro.analysis.shapecheck`: for each
-:data:`~repro.models.registry.MODEL_REGISTRY` entry this module decides —
-without training anything —
+For each :data:`~repro.models.registry.MODEL_REGISTRY` entry this module
+decides, on a throwaway probe model and without running a fit,
 
-* **traceable**: would the trace-capture JIT replay this architecture, or
-  would epoch verification raise ``TraceInvalid``?  Decided by symbolic
-  execution over probe dimensions (two perturbed abstract epochs).
+* **traceable**: would the trace-capture JIT replay this architecture?
+  Decided by the JIT itself: two epochs of a probe model's forward+loss
+  +backward run under :meth:`EpochJIT.capture` and are sealed, with a
+  deterministic parameter perturbation in between standing in for an
+  optimizer step.  The verdict is ``jit.ready``; a disabled JIT's
+  ``disabled_reason`` is the (single) hazard, keyed through the
+  :mod:`repro.analysis.hazards` catalogue.
 * **stackable**: does the cross-individual stacked backend accept it?
-  Decided by the *runtime's own*
-  :func:`repro.training.stacked.stackable_reason` over a synthetic cell,
-  so the two can never disagree.
+  Decided by the runtime's own
+  :func:`repro.training.stacked.stackable_reason` over a synthetic cell.
 
-``ema-gnn check`` renders these verdicts (text/JSON); CI compares the
-JSON against the committed ``fastpath_baseline.json`` so an eligibility
-regression (a model silently falling off a fast path) fails the build;
-and :func:`repro.training.parallel.run_cells` consults
-:func:`registry_verdict` to pre-route cells — statically blocked models
-skip the wasted JIT capture epoch, with the static reason attached to
-their results.
+Both halves therefore come from the code that takes the fast path at
+runtime, so the verdicts cannot drift from it.  ``ema-gnn check`` renders
+them (text/JSON); CI compares the JSON against the committed
+``fastpath_baseline.json`` so an eligibility regression (a model silently
+falling off a fast path) fails the build; and
+:func:`repro.training.parallel.run_cells` consults :func:`registry_verdict`
+to pre-route cells — blocked models skip the wasted JIT capture epochs,
+with the probe's reason attached to their results.
 
-Probe dimensions are concrete but arbitrary (the analysis is
-shape-generic for these architectures); two window lengths are swept
-because seq_len = 1 changes model structure (A3TGCN skips its period
-attention).  Conservative by construction: a hazard reported here may, in
-exotic configurations, not fire at runtime — the agreement test pins the
-allowed direction (never a false "eligible").
+The probe runs outside :class:`~repro.training.trainer.Trainer` (no
+optimizer, no :class:`~repro.training.history.TrainingHistory`), at a
+small fixed geometry; two window lengths are swept because seq_len = 1
+changes model structure (A3TGCN skips its period attention).
 """
 
 from __future__ import annotations
@@ -37,23 +38,24 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ..autodiff.tensor import Tensor, get_default_dtype, no_grad
+from ..autodiff.trace import EpochJIT
 from ..models import MODEL_REGISTRY, ModelConfig, create_model
 from ..training.personalized import resolve_trainer_config
 from ..training.stacked import stackable_reason
+from ..training.trainer import LOSSES
 from . import hazards as _hazards
-from .shapecheck import AbstractExecutionError, HazardHit, analyze_forward
 
-__all__ = ["ModelVerdict", "PROBE_BATCH", "PROBE_SEQ_LENS",
+__all__ = ["HazardHit", "ModelVerdict", "PROBE_BATCH", "PROBE_SEQ_LENS",
            "PROBE_VARIABLES", "analyze_model", "check_registry",
            "probe_adjacency", "baseline_summary", "load_baseline",
            "diff_baseline", "write_baseline", "registry_verdict"]
 
-#: Probe geometry for symbolic execution (values are arbitrary; symbols
-#: ``B``/``L``/``V`` tag the reported shapes).
+#: Probe geometry for the JIT probe (values are arbitrary but fixed).
 PROBE_BATCH = 7
 PROBE_VARIABLES = 6
 PROBE_SEQ_LENS = (1, 5)
-#: Small hyperparameters keep the concrete parameter-only subgraphs cheap.
+#: Small hyperparameters keep the probe epochs cheap.
 PROBE_CONFIG = ModelConfig(hidden_size=8, mtgnn_layers=1,
                            mtgnn_embedding_dim=4)
 
@@ -69,8 +71,20 @@ def probe_adjacency(num_variables: int = PROBE_VARIABLES) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class HazardHit:
+    """Why the trace JIT refused a model: a catalogued hazard."""
+
+    key: str
+    code: str
+    message: str
+
+    def to_dict(self) -> dict:
+        return {"key": self.key, "code": self.code, "message": self.message}
+
+
+@dataclass(frozen=True)
 class ModelVerdict:
-    """Static fast-path verdict for one registered model."""
+    """Fast-path verdict for one registered model."""
 
     model: str
     family: str
@@ -82,7 +96,7 @@ class ModelVerdict:
 
     @property
     def trace_reason(self) -> str | None:
-        """First blocking reason (mirrors ``EpochJIT.disabled_reason``)."""
+        """Why the model is not traceable (``EpochJIT.disabled_reason``)."""
         if self.error is not None:
             return self.error
         return self.hazards[0].message if self.hazards else None
@@ -99,17 +113,66 @@ class ModelVerdict:
         }
 
 
+def _perturb_parameters(model, scale: float) -> None:
+    """Deterministic stand-in for an optimizer step between epochs.
+
+    Multiplicative, sign-alternating and ramped so near-ties in
+    data-dependent selections (MTGNN's top-k rows) reorder; the pattern
+    is phase-shifted per parameter so coupled parameters do not move in
+    lockstep.  No RNG: the verdict must be reproducible.
+    """
+    with no_grad():
+        for index, p in enumerate(model.parameters()):
+            arr = p.data
+            if arr.size == 0:
+                continue
+            ramp = np.linspace(1.0, 2.0, arr.size).reshape(arr.shape)
+            pattern = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+            sign = np.resize(np.roll(pattern, index),
+                             arr.size).reshape(arr.shape)
+            delta = scale * ramp * sign * (np.abs(arr) + 0.1)
+            p.data = (arr + delta).astype(arr.dtype, copy=False)
+
+
+def _probe_jit(name: str, seq_len: int, num_variables: int,
+               config: ModelConfig, loss: str) -> EpochJIT:
+    """Capture and seal two probe epochs; the JIT ends ready or disabled.
+
+    Mirrors the capture epochs of ``Trainer.fit`` without its optimizer
+    and history: epoch verification only compares the two tapes.
+    """
+    model = create_model(name, num_variables, seq_len,
+                         adjacency=probe_adjacency(num_variables),
+                         config=config, seed=0)
+    model.train()
+    rng = np.random.default_rng(0)
+    dtype = get_default_dtype()
+    inputs = Tensor(rng.normal(size=(PROBE_BATCH, seq_len, num_variables))
+                    .astype(dtype))
+    targets = rng.normal(size=(PROBE_BATCH, num_variables)).astype(dtype)
+    loss_fn = LOSSES[loss]
+    jit = EpochJIT()
+    for epoch in range(2):
+        if epoch:
+            _perturb_parameters(model, 0.25)
+        model.zero_grad()
+        with jit.capture():
+            out = loss_fn(model(inputs), targets)
+            out.backward()
+        jit.seal(out)
+    return jit
+
+
 def analyze_model(name: str, *, trainer_config=None,
                   seq_lens: tuple[int, ...] = PROBE_SEQ_LENS,
                   num_variables: int = PROBE_VARIABLES,
                   model_config: ModelConfig | None = None,
                   export_learned_graph: bool = False) -> ModelVerdict:
-    """Static verdict for one registry entry.
+    """Fast-path verdict for one registry entry.
 
     ``trainer_config`` (a :class:`~repro.training.trainer.TrainerConfig`
     or None for the model's resolved defaults) supplies the loss for the
-    symbolic epochs and the optimizer/loss/callbacks for the stacking
-    check.
+    probe epochs and the optimizer/loss/callbacks for the stacking check.
     """
     spec = MODEL_REGISTRY.get(name)
     if spec is None:
@@ -133,20 +196,22 @@ def analyze_model(name: str, *, trainer_config=None,
                             hazards=(hit,), stack_blockers=stack_blockers)
 
     config = model_config if model_config is not None else PROBE_CONFIG
-    merged: dict[tuple, HazardHit] = {}
+    hazards: tuple[HazardHit, ...] = ()
     error: str | None = None
     for seq_len in seq_lens:
-        model = create_model(name, num_variables, seq_len,
-                             adjacency=probe_adjacency(num_variables),
-                             config=config, seed=0)
-        try:
-            analysis = analyze_forward(model, loss=resolved.loss)
-        except AbstractExecutionError as exc:
-            error = f"symbolic execution failed (seq_len={seq_len}): {exc}"
+        jit = _probe_jit(name, seq_len, num_variables, config, resolved.loss)
+        if jit.ready:
             continue
-        for hit in analysis.hazards:
-            merged.setdefault((hit.key, hit.op), hit)
-    hazards = tuple(sorted(merged.values(), key=lambda h: (h.code, h.key)))
+        if jit.disabled_reason is None:
+            # Neither ready nor disabled: capture was skipped (anomaly
+            # mode), so the probe decided nothing.
+            error = (f"trace probe captured no epochs (seq_len={seq_len}); "
+                     "is anomaly detection enabled?")
+        else:
+            key = _hazards.match_reason(jit.disabled_reason)
+            hazards = (HazardHit(key, _hazards.hazard_code(key),
+                                 jit.disabled_reason),)
+        break
     return ModelVerdict(name, spec.family,
                         traceable=not hazards and error is None,
                         stackable=not stack_blockers,
@@ -174,14 +239,17 @@ def registry_verdict(name: str, trainer_config=None) -> ModelVerdict:
 
     The loss function is the only trainer knob that changes the traced
     op stream (``huber`` records a data-dependent ``where``), so one
-    symbolic execution per (architecture, loss) serves every cell.
+    probe per (architecture, loss) serves every cell.  A verdict whose
+    probe could not decide (``error`` set) is returned but not cached.
     """
     resolved = resolve_trainer_config(name, trainer_config)
     key = (name, resolved.loss)
-    if key not in _VERDICT_CACHE:
-        _VERDICT_CACHE[key] = analyze_model(name,
-                                            trainer_config=trainer_config)
-    return _VERDICT_CACHE[key]
+    verdict = _VERDICT_CACHE.get(key)
+    if verdict is None:
+        verdict = analyze_model(name, trainer_config=trainer_config)
+        if verdict.error is None:
+            _VERDICT_CACHE[key] = verdict
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +275,7 @@ def baseline_summary(verdicts) -> dict:
             "traceable": verdict.traceable,
             "stackable": verdict.stackable,
             "hazards": sorted(
-                f"{h.code}:{h.key}" + (f":{h.op}" if h.op else "")
-                for h in verdict.hazards),
+                f"{h.code}:{h.key}" for h in verdict.hazards),
             "stack_blockers": blocker_keys,
         }
     return {"version": 1, "models": models}

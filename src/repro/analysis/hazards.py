@@ -6,13 +6,12 @@ trace-capture JIT, or a blocker returned by
 :func:`repro.training.stacked.stackable_reason` — is defined HERE, once,
 as a :class:`Hazard` entry with a stable key, a static-analysis rule code
 (REPRO007–REPRO012) and a message template.  ``trace.py`` and
-``stacked.py`` format their diagnostics through :func:`reason`; the
-static analyzers (:mod:`repro.analysis.shapecheck`,
-:mod:`repro.analysis.fastpath`, the lint rules) classify through the same
-table, and :func:`match_reason` maps an observed runtime string back to
-its key.  A completeness test asserts the bijection: a new runtime reason
-without a catalogue entry (or vice versa) fails the suite, so the static
-checker and the runtime cannot drift.
+``stacked.py`` format their diagnostics through :func:`reason`, and
+:func:`match_reason` maps an observed runtime string back to its key:
+:mod:`repro.analysis.fastpath` keys the reason its JIT probe reports
+that way, and the lint rules report under the same codes.  A
+completeness test asserts the bijection: a new runtime reason without a
+catalogue entry (or vice versa) fails the suite.
 
 This module is pure data + stdlib; it must not import anything from
 ``repro`` (``trace.py`` and ``stacked.py`` import *it*).
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "Hazard", "HAZARDS", "reason", "match_reason", "hazard_code",
-    "REPLAYABLE_OPS", "UNREPLAYABLE_TENSOR_METHODS",
+    "UNREPLAYABLE_TENSOR_METHODS",
     "STACKED_MODELS", "STACKED_LOSSES", "STACKED_OPTIMIZERS",
     "STACKED_OPTIMIZER_KWARGS", "LANE_CALLBACKS",
 ]
@@ -174,16 +173,6 @@ def hazard_code(key: str) -> str:
 # ---------------------------------------------------------------------------
 # Fast-path capability tables (shared by runtime and static analysis).
 # ---------------------------------------------------------------------------
-
-#: Op names with a replay rule in the trace JIT.  A sync test asserts this
-#: equals ``{r.name for r in repro.autodiff.trace._rules().values()}``.
-REPLAYABLE_OPS = frozenset({
-    "__add__", "__neg__", "__mul__", "__truediv__", "__pow__",
-    "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "leaky_relu", "abs",
-    "sum", "reshape", "transpose", "__getitem__", "__matmul__",
-    "concat", "stack", "where",
-    "lane_matmul", "lane_bias_add", "lane_propagate", "csr_matmul",
-})
 
 #: Tensor primitives with *no* replay rule — a forward that records one of
 #: these on the tape disables the JIT (``op-unsupported``).  Composites

@@ -29,6 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator
 
+from .hazards import (STACKED_LOSSES, STACKED_OPTIMIZERS,
+                      UNREPLAYABLE_TENSOR_METHODS)
+
 __all__ = ["Finding", "FileContext", "RULES", "lint_source", "lint_file",
            "lint_paths", "render_rule_table"]
 
@@ -391,10 +394,9 @@ def _check_bare_except(ctx: FileContext) -> Iterator[Finding]:
 # REPRO007–REPRO011 — trace-capture JIT hazards
 #
 # AST mirrors of the runtime ``TraceInvalid`` hazard families catalogued
-# in :mod:`repro.analysis.hazards` (and detected exactly by the symbolic
-# interpreter in :mod:`repro.analysis.shapecheck`).  The lint rules are
-# deliberately heuristic — they flag the *patterns* at review time;
-# ``ema-gnn check`` renders the precise per-model verdicts.  Intentional
+# in :mod:`repro.analysis.hazards`.  The lint rules are deliberately
+# heuristic — they flag the *patterns* at review time; ``ema-gnn check``
+# renders the per-model verdicts the trace JIT itself reaches.  Intentional
 # uses (documented fallbacks) carry justified noqa comments.
 # ----------------------------------------------------------------------
 
@@ -506,11 +508,6 @@ def _check_matmul_1d(ctx: FileContext) -> Iterator[Finding]:
                 "trailing axis and reshape after the product")
 
 
-#: Tensor methods recorded without a replay rule (mirrors
-#: ``repro.analysis.hazards.UNREPLAYABLE_TENSOR_METHODS``).
-_UNREPLAYABLE_METHODS = frozenset({"clip", "max", "pad_last", "unfold_last"})
-
-
 @_rule("REPRO010", "Tensor method without a JIT replay rule")
 def _check_unreplayable_method(ctx: FileContext) -> Iterator[Finding]:
     """Some recorded ops are outside the replay-rule table.
@@ -526,7 +523,7 @@ def _check_unreplayable_method(ctx: FileContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _UNREPLAYABLE_METHODS:
+                and node.func.attr in UNREPLAYABLE_TENSOR_METHODS:
             chain = _attr_chain(node.func)
             if chain and chain[0] in ("np", "numpy"):
                 continue
@@ -590,8 +587,6 @@ def _check_stack_eligibility(ctx: FileContext) -> Iterator[Finding]:
     """
     if not ctx.is_library:
         return
-    from .hazards import STACKED_LOSSES, STACKED_OPTIMIZERS
-
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call) \
                 or not isinstance(node.func, ast.Name) \

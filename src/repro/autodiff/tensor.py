@@ -97,18 +97,6 @@ def as_tensor(value, dtype=None) -> "Tensor":
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _defers(other) -> bool:
-    """True when a binary op should defer to ``other``'s reflected method.
-
-    Operand types that implement their own tensor arithmetic mark
-    themselves with ``__tensor_priority__`` (the shapecheck
-    :class:`~repro.analysis.shapecheck.AbstractTensor` does); returning
-    ``NotImplemented`` lets Python dispatch ``real op abstract`` to the
-    abstract operand instead of crashing inside ``np.asarray``.
-    """
-    return hasattr(type(other), "__tensor_priority__")
-
-
 class _Version:
     """Mutation counter for one tensor storage.
 
@@ -423,8 +411,6 @@ class Tensor:
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         if isinstance(other, (int, float)):
             # Python scalars: keep the array dtype and skip a graph node.
             # The keyword-only default pins the scalar operand onto the
@@ -455,22 +441,16 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         if isinstance(other, (int, float)):
             return self + (-other)
         return self + (-as_tensor(other))
 
     def __rsub__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         if isinstance(other, (int, float)):
             return (-self) + other
         return as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         if isinstance(other, (int, float)):
             def backward_scalar(grad: np.ndarray) -> None:
                 self._accumulate(grad * other)
@@ -490,8 +470,6 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         if isinstance(other, (int, float)):
             return self * (1.0 / other)
         other = as_tensor(other)
@@ -507,8 +485,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         return as_tensor(other) / self
 
     def __pow__(self, exponent) -> "Tensor":
@@ -611,8 +587,6 @@ class Tensor:
     # Linear algebra
     # ------------------------------------------------------------------
     def __matmul__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         other = as_tensor(other)
         a, b = self.data, other.data
         if b.ndim == 2 and a.ndim > 2:
@@ -688,8 +662,6 @@ class Tensor:
         return Tensor._make(out_data, (self, other), backward)
 
     def __rmatmul__(self, other) -> "Tensor":
-        if _defers(other):
-            return NotImplemented
         return as_tensor(other) @ self
 
     # ------------------------------------------------------------------

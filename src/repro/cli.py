@@ -50,7 +50,7 @@ Examples
                                               # in-process predict)
     ema-gnn profile --target table2           # dedicated profiling run
     ema-gnn lint src/ tests/                  # repo-specific static analysis
-    ema-gnn check                             # static fast-path verdicts
+    ema-gnn check                             # fast-path verdicts
                                               # for every registered model
     ema-gnn check --format json               # machine-readable verdicts
                                               # (CI diffs them against the
@@ -309,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="output format (default: text)")
     check = sub.add_parser(
-        "check", help="static fast-path verdicts: symbolically execute "
-                      "every registered model and report whether the "
-                      "trace-capture JIT and the stacked backend accept it")
+        "check", help="fast-path verdicts: run two probe epochs of every "
+                      "registered model through the real trace-capture JIT "
+                      "and report whether it replays them and whether the "
+                      "stacked backend accepts the model")
     check.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text); json emits the "
                             "full verdict records")
@@ -390,7 +391,7 @@ def _report_fallbacks(result) -> None:
 
 
 def _run_check(args) -> int:
-    """``ema-gnn check``: static verdicts + optional baseline gate."""
+    """``ema-gnn check``: fast-path verdicts + optional baseline gate."""
     import json
 
     from .analysis import fastpath
@@ -407,8 +408,7 @@ def _run_check(args) -> int:
                           "summary": fastpath.baseline_summary(verdicts)},
                          indent=2))
     else:
-        print("static fast-path verdicts "
-              f"({len(verdicts)} registered models):")
+        print(f"fast-path verdicts ({len(verdicts)} registered models):")
         for v in verdicts:
             trace = "traceable" if v.traceable else "no-jit"
             stack = "stackable" if v.stackable else "no-stack"
@@ -424,10 +424,10 @@ def _run_check(args) -> int:
     from pathlib import Path
 
     if not Path(baseline_path).exists():
-        print(f"note: baseline {baseline_path} not found; skipping the "
-              f"drift check (create it with --write-baseline)",
-              file=sys.stderr)
-        return 0
+        print(f"error: baseline {baseline_path} not found (create it with "
+              "--write-baseline, or skip the drift check with "
+              "--no-baseline)", file=sys.stderr)
+        return 2
     diffs = fastpath.diff_baseline(verdicts,
                                    fastpath.load_baseline(baseline_path))
     if diffs:

@@ -1,15 +1,14 @@
-"""Registry verdicts, baseline sync, and the static/runtime agreement.
+"""Registry verdicts, baseline sync, and the probe/runtime agreement.
 
-The contract under test: the static verdict is allowed to be
-conservative (flag a hazard that happens not to fire in some exotic
-configuration) but must never produce a false "eligible" — a model the
-analyzer calls traceable/stackable must actually take that fast path at
-runtime.  For this repo's registry the verdicts are exact in both
-directions, and the agreement test pins that.
+The contract under test: a model the verdict calls traceable/stackable
+must actually take that fast path at runtime, and a blocked model's
+reason must be the one the runtime reports.  The traceable half comes
+from a two-epoch probe of the real trace JIT, so it runs no fit and
+leaves no global state behind (``TestProbeIsolation``).
 
 Runtime probes go through :func:`run_individual` / ``Trainer`` directly,
-NOT through ``run_cells``: the cohort scheduler pre-routes statically
-blocked cells away from the JIT, which would mask the genuine runtime
+NOT through ``run_cells``: the cohort scheduler pre-routes blocked cells
+away from the JIT, which would mask the genuine runtime
 ``disabled_reason`` this test compares against.
 """
 
@@ -21,10 +20,13 @@ from repro.analysis.fastpath import (BASELINE_PATH, ModelVerdict,
                                      analyze_model, check_registry,
                                      diff_baseline, load_baseline,
                                      registry_verdict, probe_adjacency)
-from repro.autodiff import set_default_dtype
+from repro.autodiff import (detect_anomaly, get_default_dtype,
+                            is_anomaly_enabled, set_default_dtype)
+from repro.autodiff import tensor as tensor_mod
 from repro.data.containers import Individual
 from repro.models import MODEL_REGISTRY, ModelConfig
 from repro.training import TrainerConfig, stackable_reason
+from repro.training.history import TrainingHistory
 from repro.training.personalized import run_individual
 
 FAST_MODEL = ModelConfig(hidden_size=8, mtgnn_layers=1, mtgnn_embedding_dim=4)
@@ -80,8 +82,8 @@ EXPECTED = {
     "lstm": (True, True, set()),
     "tgcn": (True, True, set()),
     "a3tgcn": (True, True, set()),
-    "astgcn": (False, False, {"REPRO009", "REPRO010"}),
-    "mtgnn": (False, False, {"REPRO010", "REPRO011"}),
+    "astgcn": (False, False, {"REPRO009"}),
+    "mtgnn": (False, False, {"REPRO011"}),
     "var": (False, False, {"REPRO011"}),
     "naive-mean": (False, False, {"REPRO011"}),
 }
@@ -147,8 +149,7 @@ class TestRuntimeAgreement:
             assert disabled is not None, (
                 f"{name}/{dtype}: statically blocked but the JIT replayed")
             # The runtime diagnostic must be a catalogued hazard the
-            # static pass also reported (orders may differ: the runtime
-            # stops at its first failure, the analyzer collects all).
+            # probe also reported.
             key = hazards.match_reason(disabled)
             assert key in {h.key for h in verdict.hazards}
 
@@ -175,3 +176,45 @@ class TestRuntimeAgreement:
         assert (blocker is None) == verdict.stackable
         if blocker is not None:
             assert hazards.match_reason(blocker) is not None
+
+
+class TestProbeIsolation:
+    """The JIT probe runs no fit and leaves global state as it found it."""
+
+    def test_check_registry_records_no_training_history(self, monkeypatch):
+        calls = []
+        record = TrainingHistory.record
+
+        def counting_record(self, *args, **kwargs):
+            calls.append(args)
+            return record(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrainingHistory, "record", counting_record)
+        check_registry()
+        assert calls == []
+
+    def test_verdict_under_anomaly_mode_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_VERDICT_CACHE", {})
+        with detect_anomaly():
+            undecided = registry_verdict("lstm")
+        assert undecided.error is not None and not undecided.traceable
+        assert undecided.trace_reason == undecided.error
+        assert fastpath._VERDICT_CACHE == {}
+        verdict = registry_verdict("lstm")
+        assert verdict.error is None and verdict.traceable
+        assert registry_verdict("lstm") is verdict
+
+    @pytest.mark.parametrize("name", ["lstm", "mtgnn"])
+    def test_probe_restores_global_state(self, name):
+        def hook(node):
+            raise AssertionError("the probe leaked a node to the outer hook")
+
+        set_default_dtype("float32")
+        tensor_mod.set_trace_hook(hook)
+        try:
+            analyze_model(name)
+            assert tensor_mod._TRACE_HOOK is hook
+        finally:
+            tensor_mod.set_trace_hook(None)
+        assert not is_anomaly_enabled()
+        assert get_default_dtype() is np.float32

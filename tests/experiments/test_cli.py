@@ -1,6 +1,8 @@
 """Tests for the CLI (fast commands, plus full table runs at a micro
 profile patched over ``tiny`` so they execute in seconds)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -191,6 +193,44 @@ class TestCommands:
         (pkg / "bad.py").write_text("import numpy as np\nnp.random.seed(0)\n")
         assert main(["lint", str(tmp_path)]) == 1
         assert "REPRO001" in capsys.readouterr().out
+
+
+class TestCheck:
+    """``ema-gnn check``: verdict rendering and the baseline drift gate."""
+
+    def test_matches_committed_baseline(self, capsys):
+        assert main(["check"]) == 0
+        assert "lstm" in capsys.readouterr().out
+
+    def test_drift_exits_one_and_names_the_model(self, tmp_path, capsys):
+        from repro.analysis import fastpath
+
+        baseline = fastpath.load_baseline(fastpath.BASELINE_PATH)
+        entry = baseline["models"]["tgcn"]
+        entry["traceable"] = not entry["traceable"]
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        assert main(["check", "--baseline", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "tgcn: traceable changed" in err
+
+    def test_missing_baseline_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["check", "--baseline", str(missing)]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_write_baseline_then_check_against_it(self, tmp_path, capsys):
+        path = tmp_path / "baseline.json"
+        assert main(["check", "--write-baseline", "--baseline",
+                     str(path)]) == 0
+        assert path.exists()
+        assert main(["check", "--baseline", str(path)]) == 0
+
+    def test_json_format_parses(self, capsys):
+        assert main(["check", "--format", "json", "--no-baseline"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {v["model"] for v in payload["verdicts"]} \
+            == set(payload["summary"]["models"])
 
 
 class TestTableRuns:
