@@ -13,7 +13,7 @@ summation — so dense vs sparse is a *documented tolerance* contract
 The ISSUE target is >= 3x over the dense path at V = 500 with density
 <= 0.2.  That holds for the compiled AVX kernel at float64 (measured
 3-4x); it is always *reported* and enforced under ``REPRO_BENCH_STRICT=1``
-(skipped with a loud message if only the scipy/numpy fallback backend is
+(skipped with a loud message if only the scipy fallback backend is
 available, which cannot reach it).
 
 A second section reports graphical-lasso structure discovery vs GDT

@@ -62,19 +62,20 @@ def _run(cohort, model: str, parallel, epochs: int):
 def run_sweep(model: str, num_individuals: int, epochs: int,
               num_variables: int = 6, time_points: int = 40,
               strict: bool | None = None) -> dict:
-    from repro.training import ParallelConfig
+    from repro.training import ExecutionPolicy, ParallelConfig
 
     if strict is None:
         strict = os.environ.get("REPRO_BENCH_STRICT") == "1"
     cohort = _make_cohort(num_individuals, num_variables, time_points)
-    schedules = [("pool", ParallelConfig(jobs=4)),
-                 ("serial", ParallelConfig(jobs=1))]
+    schedules = [
+        ("pool", ParallelConfig(execution=ExecutionPolicy(jobs=4))),
+        ("serial", ParallelConfig(execution=ExecutionPolicy(jobs=1)))]
     stack_sizes = sorted({k for k in (1, 8, 32, num_individuals)
                           if k <= num_individuals})
     for k in stack_sizes:
         schedules.append((f"stacked-K{k}",
-                          ParallelConfig(jobs=1, backend="stacked",
-                                         stack_size=k)))
+                          ParallelConfig(execution=ExecutionPolicy(
+                              jobs=1, backend="stacked", stack_size=k))))
     timings = {}
     baseline = None
     for label, config in schedules:

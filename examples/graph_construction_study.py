@@ -47,7 +47,7 @@ def main() -> None:
             model = create_model("astgcn", person.num_variables, SEQ_LEN,
                                  adjacency=graph, seed=3)
             trainer.fit(model, split.train)
-            mse = Trainer.evaluate(model, split.test)
+            mse = trainer.evaluate(model, split.test)
             print(f"{method:14s} {int(gdt * 100):4d}% {density(graph):8.2f} "
                   f"{recovery:9.2f} {mse:11.3f}")
 

@@ -31,8 +31,9 @@ def train_and_score(name, person, graph, seed):
     split = split_windows(person.values, SEQ_LEN)
     model = create_model(name, person.num_variables, SEQ_LEN,
                          adjacency=graph, seed=seed)
-    Trainer(TrainerConfig(epochs=EPOCHS)).fit(model, split.train)
-    return model, Trainer.evaluate(model, split.test)
+    trainer = Trainer(TrainerConfig(epochs=EPOCHS))
+    trainer.fit(model, split.train)
+    return model, trainer.evaluate(model, split.test)
 
 
 def main() -> None:

@@ -609,52 +609,6 @@ def _check_stack_eligibility(ctx: FileContext) -> Iterator[Finding]:
 
 
 # ----------------------------------------------------------------------
-# REPRO013 — deprecated flat ParallelConfig keywords
-# ----------------------------------------------------------------------
-
-#: Flat keywords absorbed into the PR-9 policy split; mirrors
-#: ``repro.training.parallel._FLAT_KEYWORD_HOMES``.
-_FLAT_PARALLEL_KEYWORDS = {
-    "jobs": "ExecutionPolicy", "backend": "ExecutionPolicy",
-    "stack_size": "ExecutionPolicy",
-    "retries": "FaultPolicy", "timeout": "FaultPolicy",
-    "on_error": "FaultPolicy", "retry_backoff": "FaultPolicy",
-    "divergence_reseed": "FaultPolicy", "fault_injector": "FaultPolicy",
-}
-
-
-@_rule("REPRO013", "deprecated flat ParallelConfig keyword")
-def _check_flat_parallel_config(ctx: FileContext) -> Iterator[Finding]:
-    """Flat scheduler keywords survive only as a deprecation shim.
-
-    ``ParallelConfig(jobs=..., retries=...)`` still works but warns once
-    per process; the supported spelling composes the split policies:
-    ``ParallelConfig(execution=ExecutionPolicy(jobs=...),
-    faults=FaultPolicy(retries=...))``.  Library code must not ship the
-    deprecated form — it would warn in every downstream process — while
-    tests exercising the shim itself are exempt.
-    """
-    if not ctx.is_library:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) \
-                or not isinstance(node.func, ast.Name) \
-                or node.func.id != "ParallelConfig":
-            continue
-        for kw in node.keywords:
-            home = _FLAT_PARALLEL_KEYWORDS.get(kw.arg)
-            if home is None:
-                continue
-            yield ctx.finding(
-                kw.value, "REPRO013",
-                f"flat ParallelConfig keyword {kw.arg}= is deprecated "
-                f"(warns once per process); pass "
-                f"{home}({kw.arg}=...) via ParallelConfig("
-                f"{'execution' if home == 'ExecutionPolicy' else 'faults'}"
-                f"=...) instead")
-
-
-# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 

@@ -43,9 +43,22 @@ def split_boundary(num_time_points: int, train_fraction: float = 0.7) -> int:
 
 def split_windows(values: np.ndarray, seq_len: int,
                   train_fraction: float = 0.7) -> TrainTestWindows:
-    """Window a recording and split by target index at ``train_fraction``."""
+    """Window a recording and split by target index at ``train_fraction``.
+
+    Raises ``ValueError`` when the recording holds NaN/inf values (e.g.
+    missed beeps loaded without imputation): training on them would only
+    surface later as a diverged fit.
+    """
     values = np.asarray(values, dtype=np.float64)
     windows = make_windows(values, seq_len)
+    finite = np.isfinite(values)
+    if not finite.all():
+        first_row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(
+            f"recording has {int(finite.size - finite.sum())} non-finite "
+            f"value(s), first in row {first_row}; impute missed beeps "
+            f"before training (repro.data.imputation: forward_fill, "
+            f"mean_impute, linear_interpolate) or drop those rows")
     boundary = split_boundary(values.shape[0], train_fraction)
     train_mask = windows.target_indices < boundary
     test_mask = ~train_mask

@@ -9,7 +9,6 @@ than from data and therefore has no builder here).
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable
 
 import numpy as np
@@ -72,11 +71,8 @@ EXTENDED_METHODS: dict[str, Callable[..., np.ndarray]] = {
 }
 
 
-def build_adjacency(series: np.ndarray, method: str, *legacy,
-                    gdt: float | None = None, seed: int | None = None,
-                    keep_fraction: float | None = None,
-                    rng: np.random.Generator | None = None,
-                    **kwargs) -> np.ndarray:
+def build_adjacency(series: np.ndarray, method: str, *, gdt: float = 1.0,
+                    seed: int | None = None, **kwargs) -> np.ndarray:
     """Build a variable graph from an individual's ``(time, variables)`` data.
 
     Thin front end over the graph-builder registry
@@ -102,40 +98,5 @@ def build_adjacency(series: np.ndarray, method: str, *legacy,
         Metric-specific options (``k`` for knn, ``window``/``bandwidth``
         for dtw, ``bandwidth`` for euclidean, ``shrinkage`` for
         partial_correlation, ``bins`` for mutual_information).
-
-    Deprecated call forms (still work, emit ``DeprecationWarning``): the
-    ``keep_fraction=`` / ``rng=`` keywords and the old third/fourth
-    positional arguments ``(keep_fraction, rng)``.
     """
-    deprecated = []
-    if legacy:
-        if len(legacy) > 2:
-            raise TypeError(
-                f"build_adjacency() takes at most 2 positional arguments "
-                f"after method, got {len(legacy)}")
-        deprecated.append("positional (keep_fraction, rng)")
-        if keep_fraction is None:
-            keep_fraction = legacy[0]
-        if len(legacy) == 2 and rng is None:
-            rng = legacy[1]
-    else:
-        if keep_fraction is not None:
-            deprecated.append("keep_fraction= (use gdt=)")
-        if rng is not None:
-            deprecated.append("rng= (use seed=)")
-    if gdt is not None and keep_fraction is not None:
-        raise TypeError(
-            "pass either gdt= or the deprecated keep_fraction=, not both")
-    if deprecated:
-        warnings.warn(
-            "deprecated build_adjacency call form: " + "; ".join(deprecated)
-            + " — the uniform signature is build_adjacency(series, method, "
-            "*, gdt=..., seed=...)", DeprecationWarning, stacklevel=2)
-    if gdt is None:
-        gdt = 1.0 if keep_fraction is None else keep_fraction
-    builder = get_graph_builder(method)
-    if method == GraphMethod.RANDOM:
-        return builder(series, gdt=gdt, seed=seed, rng=rng, **kwargs)
-    # Deterministic metrics never used the rng; drop it silently so the
-    # deprecated uniform-loop call style keeps working.
-    return builder(series, gdt=gdt, seed=seed, **kwargs)
+    return get_graph_builder(method)(series, gdt=gdt, seed=seed, **kwargs)

@@ -19,8 +19,6 @@ compatible with ``sparsify``/GDT and every GNN in the repo.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from .correlation import correlation_matrix
@@ -44,7 +42,7 @@ def cosine_adjacency(series: np.ndarray) -> np.ndarray:
     return np.clip(sim, 0.0, 1.0)
 
 
-def partial_correlation_adjacency(series: np.ndarray, *args,
+def partial_correlation_adjacency(series: np.ndarray, *,
                                   shrinkage: float = 0.1) -> np.ndarray:
     """Gaussian-graphical-model graph: absolute partial correlations.
 
@@ -54,17 +52,8 @@ def partial_correlation_adjacency(series: np.ndarray, *args,
     partial correlations ``-P_ij / sqrt(P_ii P_jj)``.
 
     ``shrinkage`` is keyword-only (the registry's uniform builder
-    signature); passing it positionally still works but warns.
+    signature).
     """
-    if args:
-        if len(args) > 1:
-            raise TypeError(
-                f"partial_correlation_adjacency() takes 1 positional "
-                f"argument, got {1 + len(args)}")
-        warnings.warn(
-            "positional shrinkage is deprecated; pass shrinkage= as a "
-            "keyword", DeprecationWarning, stacklevel=2)
-        shrinkage = args[0]
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
     corr = correlation_matrix(series)
@@ -90,25 +79,15 @@ def partial_correlation_adjacency(series: np.ndarray, *args,
     return np.clip(np.abs(partial), 0.0, 1.0)
 
 
-def mutual_information_adjacency(series: np.ndarray, *args,
+def mutual_information_adjacency(series: np.ndarray, *,
                                  bins: int = 5) -> np.ndarray:
     """Pairwise mutual information on quantile-binned series, in [0, 1].
 
     MI is normalized by ``min(H_i, H_j)`` so the weights are comparable
     across variable pairs with different marginal entropies.
 
-    ``bins`` is keyword-only (the registry's uniform builder signature);
-    passing it positionally still works but warns.
+    ``bins`` is keyword-only (the registry's uniform builder signature).
     """
-    if args:
-        if len(args) > 1:
-            raise TypeError(
-                f"mutual_information_adjacency() takes 1 positional "
-                f"argument, got {1 + len(args)}")
-        warnings.warn(
-            "positional bins is deprecated; pass bins= as a keyword",
-            DeprecationWarning, stacklevel=2)
-        bins = args[0]
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"series must be (time, variables), got {x.shape}")

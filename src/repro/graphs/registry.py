@@ -73,23 +73,16 @@ def _uniform_metric_builder(name: str, metric: Callable) -> Callable:
     return build
 
 
-def _build_random(data, *, gdt: float = 1.0, seed=None,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Random control graph with a ``gdt``-sized edge budget.
-
-    ``rng`` is the deprecated injection point kept for
-    :func:`~repro.graphs.adjacency.build_adjacency`'s legacy call forms;
-    new code passes ``seed``.
-    """
+def _build_random(data, *, gdt: float = 1.0, seed=None) -> np.ndarray:
+    """Random control graph with a ``gdt``-sized edge budget."""
+    if seed is None:
+        raise ValueError("random graphs need an explicit seed")
     series = np.asarray(data, dtype=np.float64)
-    if rng is None:
-        if seed is None:
-            raise ValueError("random graphs need an explicit seed")
-        rng = np.random.default_rng(seed)
     num_variables = series.shape[1]
     max_edges = num_variables * (num_variables - 1) // 2
     num_edges = max(1, int(round(gdt * max_edges)))
-    return random_adjacency(num_variables, num_edges, rng)
+    return random_adjacency(num_variables, num_edges,
+                            np.random.default_rng(seed))
 
 
 for _name, _metric in (

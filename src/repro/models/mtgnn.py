@@ -54,22 +54,14 @@ class MTGNN(Forecaster):
                  hidden_size: int = 32, num_layers: int = 2,
                  embedding_dim: int = 8, top_k: int | None = None,
                  mixhop_depth: int = 2, dropout: float = 0.3,
-                 custom_graph_learner=None,
                  rng: np.random.Generator | None = None):
         super().__init__(num_variables, seq_len)
         rng = rng if rng is not None else np.random.default_rng()
-        if not use_graph_learning and initial_adjacency is None \
-                and custom_graph_learner is None:
+        if not use_graph_learning and initial_adjacency is None:
             raise ValueError("static mode needs initial_adjacency")
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        if custom_graph_learner is not None:
-            # Alternative structure-learning module (e.g. GTSGraphLearner):
-            # anything exposing forward() -> Tensor and learned_adjacency().
-            self.use_graph_learning = True
-            self.graph_learner = custom_graph_learner
-            self._static_adjacency = None
-        elif use_graph_learning:
+        if use_graph_learning:
             self.use_graph_learning = True
             if top_k is None:
                 top_k = max(2, num_variables // 3)
@@ -129,10 +121,6 @@ class MTGNN(Forecaster):
     def set_adjacency(self, adjacency: np.ndarray) -> None:
         """Replace the static graph / re-warm-start the learner."""
         adjacency = np.asarray(adjacency, dtype=np.float64)  # repro: noqa[REPRO005] — spectral warm start needs full precision
-        if self.use_graph_learning and not isinstance(self.graph_learner,
-                                                      GraphLearner):
-            raise NotImplementedError(
-                "warm-starting is only defined for the adaptive GraphLearner")
         if self.use_graph_learning:
             rng = np.random.default_rng(0)
             e1, e2 = GraphLearner._spectral_warm_start(

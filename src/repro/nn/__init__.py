@@ -16,7 +16,6 @@ from .conv import DilatedInception, TemporalConv2d
 from .attention import SpatialAttention, TemporalAttention, TemporalAttentionPool
 from .graph import (ChebConv, GCNConv, GraphLearner, MixHopPropagation,
                     cheb_conv_stacked, gcn_conv_stacked, scaled_laplacian)
-from .graph_gts import GTSGraphLearner, series_node_features
 from .stacked_ops import (lane_affine, lane_bias_add, lane_matmul,
                           lane_propagate)
 from .loss import HuberLoss, MAELoss, MSELoss
@@ -30,7 +29,6 @@ __all__ = [
     "TemporalConv2d", "DilatedInception",
     "TemporalAttentionPool", "SpatialAttention", "TemporalAttention",
     "GCNConv", "ChebConv", "MixHopPropagation", "GraphLearner",
-    "GTSGraphLearner", "series_node_features",
     "scaled_laplacian", "gcn_conv_stacked", "cheb_conv_stacked",
     "lane_matmul", "lane_bias_add", "lane_affine", "lane_propagate",
     "MSELoss", "MAELoss", "HuberLoss",

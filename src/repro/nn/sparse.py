@@ -7,8 +7,8 @@ provides the sparse path:
 * :class:`CSRMatrix` — a minimal immutable CSR container for graph
   operators (``indptr`` int64, ``indices`` int32, ``data`` float32/64).
 * :func:`spmm` — CSR @ dense, backed by a lazily compiled C kernel
-  (AVX-512 intrinsics with a portable fallback, see ``_spmm.c``), then
-  ``scipy.sparse``, then pure numpy, whichever is available first.
+  (AVX-512 intrinsics with a portable fallback, see ``_spmm.c``) when it
+  builds and passes its bitwise self-check, else ``scipy.sparse``.
 * :func:`csr_matmul` — the autodiff op.  Forward and backward both run
   through :func:`spmm`; the operator is a constant (graph structure is
   not differentiated through this path — learned graphs stay dense).
@@ -18,9 +18,9 @@ provides the sparse path:
   :func:`set_sparse_mode` (``auto`` / ``always`` / ``never``), which the
   config / CLI layer threads through experiments and cohort cells.
 
-Numerical contract: all three spmm backends accumulate each output
-element sequentially over the row's nonzeros in CSR order, so backends
-are mutually bitwise identical (probed at load time; a compiled kernel
+Numerical contract: both spmm backends accumulate each output element
+sequentially over the row's nonzeros in CSR order, so backends are
+mutually bitwise identical (probed at load time; a compiled kernel
 that disagrees with the pure-python reference is discarded).  The dense
 BLAS path uses blocked summation, so dense vs sparse agree only to
 rounding (~1e-7 rel for float32, ~1e-15 for float64); the benchmark and
@@ -35,7 +35,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,12 +68,10 @@ SPARSE_MIN_NODES = 128
 #: benchmarks/bench_sparse.py and DESIGN.md for methodology); values are
 #: set conservatively below the raw break-even point to absorb op
 #: overhead.  scipy's csr_matmat is an order of magnitude slower than
-#: the compiled kernel, and the pure-numpy fallback never beats BLAS, so
-#: their crossovers are correspondingly tiny / zero.
+#: the compiled kernel, so its crossover is correspondingly tiny.
 SPARSE_DENSITY_CROSSOVER = {
     "compiled": {"float32": 0.20, "float64": 0.30},
     "scipy": {"float32": 0.02, "float64": 0.05},
-    "numpy": {"float32": 0.0, "float64": 0.0},
 }
 
 _SPARSE_MODE = "auto"
@@ -221,7 +218,7 @@ class CSRMatrix:
 
 
 # --------------------------------------------------------------------------
-# spmm backends: compiled C kernel -> scipy.sparse -> pure numpy.
+# spmm backends: compiled C kernel -> scipy.sparse.
 
 
 def _reference_spmm(operator: CSRMatrix, x: np.ndarray) -> np.ndarray:
@@ -307,21 +304,6 @@ def _scipy_matrix(operator: CSRMatrix):
     return operator._scipy
 
 
-def _numpy_spmm(operator: CSRMatrix, x: np.ndarray, out: np.ndarray) -> None:
-    # np.add.at applies contributions strictly in index order, preserving
-    # the sequential CSR-row accumulation contract (np.add.reduceat does
-    # not: it reduces segments pairwise).
-    out.fill(0)
-    if operator.nnz == 0:
-        return
-    products = operator.data[:, None] * x[operator.indices]
-    row_of = np.repeat(
-        np.arange(operator.shape[0], dtype=np.intp),
-        np.diff(operator.indptr).astype(np.intp),
-    )
-    np.add.at(out, row_of, products)
-
-
 _BACKEND = None  # lazily resolved ("name", lib-or-None) pair
 
 
@@ -344,36 +326,12 @@ def _self_check(lib) -> bool:
 
 def _resolve_backend():
     global _BACKEND
-    if _BACKEND is not None:
-        return _BACKEND
-    forced = os.environ.get("REPRO_SPARSE_KERNEL", "auto").lower()
-    if forced in ("auto", "compiled", "c"):
+    if _BACKEND is None:
         lib = _load_compiled()
         if lib is not None and _self_check(lib):
             _BACKEND = ("compiled", lib)
-            return _BACKEND
-        if forced != "auto":
-            warnings.warn(
-                "REPRO_SPARSE_KERNEL requested the compiled spmm kernel but "
-                "it could not be built/verified; falling back",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if forced in ("auto", "compiled", "c", "scipy"):
-        try:
-            import scipy.sparse  # noqa: F401
-
+        else:
             _BACKEND = ("scipy", None)
-            return _BACKEND
-        except ImportError:
-            if forced == "scipy":
-                warnings.warn(
-                    "REPRO_SPARSE_KERNEL=scipy but scipy is unavailable; "
-                    "falling back to numpy",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-    _BACKEND = ("numpy", None)
     return _BACKEND
 
 
@@ -404,11 +362,7 @@ def spmm(operator: CSRMatrix, x: np.ndarray) -> np.ndarray:
         out = np.empty((operator.shape[0], x.shape[1]), dtype=x.dtype)
         _compiled_spmm(lib, operator, x, out)
         return out
-    if name == "scipy":
-        return np.ascontiguousarray(_scipy_matrix(operator) @ x)
-    out = np.empty((operator.shape[0], x.shape[1]), dtype=x.dtype)
-    _numpy_spmm(operator, x, out)
-    return out
+    return np.ascontiguousarray(_scipy_matrix(operator) @ x)
 
 
 # --------------------------------------------------------------------------

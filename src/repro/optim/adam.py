@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable
 
 import numpy as np
@@ -18,8 +17,7 @@ class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias-corrected moment estimates.
 
     Hyperparameters beyond ``lr`` are keyword-only (the unified optimizer
-    signature shared with :class:`~repro.optim.sgd.SGD`); passing them
-    positionally still works but emits a ``DeprecationWarning``.
+    signature shared with :class:`~repro.optim.sgd.SGD`).
 
     ``fused=True`` switches :meth:`step` to a flat-buffer update: the
     gradients of all parameters (grouped by dtype) are gathered into one
@@ -37,20 +35,9 @@ class Adam(Optimizer):
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 *args, betas: tuple[float, float] = (0.9, 0.999),
+                 *, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0,
                  fused: bool = False):
-        if args:
-            if len(args) > 3:
-                raise TypeError(
-                    f"Adam() takes at most 3 positional hyperparameters "
-                    f"(betas, eps, weight_decay), got {len(args)}")
-            warnings.warn(
-                "positional Adam hyperparameters are deprecated; pass "
-                "betas=, eps=, weight_decay= as keywords",
-                DeprecationWarning, stacklevel=2)
-            betas, eps, weight_decay = (
-                tuple(args) + (betas, eps, weight_decay)[len(args):])
         super().__init__(parameters, lr)
         beta1, beta2 = betas
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:

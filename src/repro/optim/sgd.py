@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable
 
 import numpy as np
@@ -18,23 +17,11 @@ class SGD(Optimizer):
     """``v = momentum * v + grad; p -= lr * v`` with optional weight decay.
 
     Hyperparameters beyond ``lr`` are keyword-only (the unified optimizer
-    signature shared with :class:`~repro.optim.adam.Adam`); passing them
-    positionally still works but emits a ``DeprecationWarning``.
+    signature shared with :class:`~repro.optim.adam.Adam`).
     """
 
     def __init__(self, parameters: Iterable[Parameter], lr: float = 0.01,
-                 *args, momentum: float = 0.0, weight_decay: float = 0.0):
-        if args:
-            if len(args) > 2:
-                raise TypeError(
-                    f"SGD() takes at most 2 positional hyperparameters "
-                    f"(momentum, weight_decay), got {len(args)}")
-            warnings.warn(
-                "positional SGD hyperparameters are deprecated; pass "
-                "momentum=, weight_decay= as keywords",
-                DeprecationWarning, stacklevel=2)
-            momentum, weight_decay = (
-                tuple(args) + (momentum, weight_decay)[len(args):])
+                 *, momentum: float = 0.0, weight_decay: float = 0.0):
         super().__init__(parameters, lr)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")

@@ -334,23 +334,6 @@ class ExecutionPolicy:
                 f"stack_size must be >= 1, got {self.stack_size}")
 
 
-#: Deprecated flat ``ParallelConfig`` keyword -> the policy that owns it
-#: now.  REPRO013 flags in-repo use of the flat forms.
-_FLAT_KEYWORD_HOMES = {
-    "jobs": "ExecutionPolicy", "backend": "ExecutionPolicy",
-    "stack_size": "ExecutionPolicy",
-    "retries": "FaultPolicy", "timeout": "FaultPolicy",
-    "on_error": "FaultPolicy", "retry_backoff": "FaultPolicy",
-    "divergence_reseed": "FaultPolicy", "fault_injector": "FaultPolicy",
-}
-
-#: Flat keywords already warned about this process (warn exactly once per
-#: keyword, the PR-4 ``gdt=``/``seed=`` migration discipline).
-_WARNED_FLAT_KEYWORDS: set = set()
-
-_UNSET = object()
-
-
 class ParallelConfig:
     """How :func:`run_cells` schedules a cohort.
 
@@ -384,57 +367,17 @@ class ParallelConfig:
         as it completes.  The serving layer streams trained artifacts
         into the model store through this hook; failures never reach it.
 
-    The pre-split flat keywords (``jobs=``, ``retries=``, ``timeout=``,
-    ``on_error=``, ``retry_backoff=``, ``divergence_reseed=``,
-    ``fault_injector=``, ``backend=``, ``stack_size=``) still work and
-    forward into the matching policy, but emit a ``DeprecationWarning``
-    (once per keyword per process).  Flat *attribute* reads
-    (``config.jobs`` etc.) remain first-class — the scheduler uses them —
-    and are not deprecated.
+    Flat *attribute* reads (``config.jobs``, ``config.retries`` etc.) are
+    first-class — the scheduler uses them.
     """
 
-    def __init__(self, jobs=_UNSET, checkpoint=None, progress=None,
-                 retries=_UNSET, timeout=_UNSET, on_error=_UNSET,
-                 retry_backoff=_UNSET, divergence_reseed=_UNSET,
-                 fault_injector=_UNSET, backend=_UNSET, stack_size=_UNSET,
-                 *, faults: FaultPolicy | None = None,
-                 execution: ExecutionPolicy | None = None,
+    def __init__(self, *, execution: ExecutionPolicy | None = None,
+                 faults: FaultPolicy | None = None, checkpoint=None,
+                 progress: Callable | None = None,
                  on_result: Callable | None = None):
-        flat = {name: value for name, value in [
-            ("jobs", jobs), ("retries", retries), ("timeout", timeout),
-            ("on_error", on_error), ("retry_backoff", retry_backoff),
-            ("divergence_reseed", divergence_reseed),
-            ("fault_injector", fault_injector), ("backend", backend),
-            ("stack_size", stack_size)] if value is not _UNSET}
-        flat_execution = {k: v for k, v in flat.items()
-                          if _FLAT_KEYWORD_HOMES[k] == "ExecutionPolicy"}
-        flat_faults = {k: v for k, v in flat.items()
-                       if _FLAT_KEYWORD_HOMES[k] == "FaultPolicy"}
-        if execution is not None and flat_execution:
-            raise TypeError(
-                f"ParallelConfig got execution= and the flat keyword(s) "
-                f"{sorted(flat_execution)}; pass them on the "
-                f"ExecutionPolicy instead")
-        if faults is not None and flat_faults:
-            raise TypeError(
-                f"ParallelConfig got faults= and the flat keyword(s) "
-                f"{sorted(flat_faults)}; pass them on the FaultPolicy "
-                f"instead")
-        fresh = sorted(set(flat) - _WARNED_FLAT_KEYWORDS)
-        if fresh:
-            _WARNED_FLAT_KEYWORDS.update(fresh)
-            migrated = ", ".join(
-                f"{name}= (now {_FLAT_KEYWORD_HOMES[name]}.{name})"
-                for name in fresh)
-            warnings.warn(
-                f"flat ParallelConfig keyword(s) are deprecated: {migrated}; "
-                f"pass ParallelConfig(execution=ExecutionPolicy(...), "
-                f"faults=FaultPolicy(...)) instead",
-                DeprecationWarning, stacklevel=2)
         self.execution = execution if execution is not None \
-            else ExecutionPolicy(**flat_execution)
-        self.faults = faults if faults is not None \
-            else FaultPolicy(**flat_faults)
+            else ExecutionPolicy()
+        self.faults = faults if faults is not None else FaultPolicy()
         if isinstance(checkpoint, (str, Path)):
             checkpoint = CohortCheckpoint(checkpoint)
         self.checkpoint = checkpoint

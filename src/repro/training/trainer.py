@@ -23,7 +23,6 @@ construct exactly what the seed loop hardcoded.
 
 from __future__ import annotations
 
-import types
 from dataclasses import dataclass
 from typing import Callable
 
@@ -119,50 +118,6 @@ class TrainerConfig:
                     f"(picklable), got {type(spec).__name__}; pass live "
                     "Callback instances to Trainer.fit(callbacks=...) "
                     "instead")
-
-
-def _evaluate(model: Forecaster, windows: WindowSet) -> float:
-    """Test-set MSE over all variables and time points (paper eq. 1)."""
-    dtype = get_default_dtype()
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            prediction = model(Tensor(windows.inputs.astype(dtype))).data
-    finally:
-        model.train(was_training)
-    diff = prediction - windows.targets.astype(dtype)
-    return float(np.mean(diff.astype(np.float64) ** 2))
-
-
-def _evaluate_per_variable(model: Forecaster,
-                           windows: WindowSet) -> np.ndarray:
-    """Per-variable test MSE (paper section VII-C's open question)."""
-    from ..evaluation.per_variable import per_variable_mse
-
-    prediction = model.predict(windows.inputs)
-    return per_variable_mse(windows.targets, prediction)
-
-
-class _HybridMethod:
-    """Descriptor exposing both call styles of an evaluation method.
-
-    ``trainer.evaluate(model, windows)`` binds the config-aware instance
-    implementation; ``Trainer.evaluate(model, windows)`` — the seed repo's
-    staticmethod style, still used in docs and downstream code — resolves
-    to the legacy static function.  Both see identical arguments, so the
-    two styles can no longer drift apart silently.
-    """
-
-    def __init__(self, instance_func, static_func):
-        self._instance_func = instance_func
-        self._static_func = static_func
-        self.__doc__ = instance_func.__doc__
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self._static_func
-        return types.MethodType(self._instance_func, obj)
 
 
 class Trainer:
@@ -299,35 +254,31 @@ class Trainer:
         history.stop_reason = ctx.stop_reason
         return history
 
-    def _evaluate_instance(self, model: Forecaster,
-                           windows: WindowSet) -> float:
+    def evaluate(self, model: Forecaster, windows: WindowSet) -> float:
         """Test error under this trainer's configured ``loss``.
 
-        With the default ``loss="mse"`` this delegates to the legacy
-        static implementation (float64 accumulation, paper eq. 1) and is
-        bit-identical to ``Trainer.evaluate(model, windows)``.
+        The default ``loss="mse"`` is the paper's test MSE over all
+        variables and time points (eq. 1), accumulated in float64.
         """
-        if self.config.loss == "mse":
-            return _evaluate(model, windows)
         dtype = get_default_dtype()
         was_training = model.training
         model.eval()
         try:
             with no_grad():
                 prediction = model(Tensor(windows.inputs.astype(dtype)))
-                value = LOSSES[self.config.loss](
-                    prediction, windows.targets.astype(dtype))
+                targets = windows.targets.astype(dtype)
+                if self.config.loss == "mse":
+                    diff = prediction.data - targets
+                    return float(np.mean(diff.astype(np.float64) ** 2))
+                return float(
+                    LOSSES[self.config.loss](prediction, targets).item())
         finally:
             model.train(was_training)
-        return float(value.item())
 
-    def _evaluate_per_variable_instance(self, model: Forecaster,
-                                        windows: WindowSet) -> np.ndarray:
+    def evaluate_per_variable(self, model: Forecaster,
+                              windows: WindowSet) -> np.ndarray:
         """Per-variable test MSE (paper section VII-C's open question)."""
-        return _evaluate_per_variable(model, windows)
+        from ..evaluation.per_variable import per_variable_mse
 
-    #: Instance call honors ``TrainerConfig``; class-attribute access keeps
-    #: the seed repo's staticmethod form working unchanged.
-    evaluate = _HybridMethod(_evaluate_instance, _evaluate)
-    evaluate_per_variable = _HybridMethod(_evaluate_per_variable_instance,
-                                          _evaluate_per_variable)
+        prediction = model.predict(windows.inputs)
+        return per_variable_mse(windows.targets, prediction)

@@ -287,33 +287,6 @@ class TestRepro012StackEligibility:
         assert codes("cfg = TrainerConfig(optimizer='sgd')\n", TESTS) == []
 
 
-class TestRepro013FlatParallelConfig:
-    def test_fires_on_flat_execution_keyword(self):
-        src = "config = ParallelConfig(jobs=4)\n"
-        assert codes(src) == ["REPRO013"]
-
-    def test_fires_once_per_flat_keyword(self):
-        src = "config = ParallelConfig(jobs=4, retries=2, timeout=5.0)\n"
-        assert codes(src) == ["REPRO013"] * 3
-
-    def test_message_names_the_policy_home(self):
-        findings = lint_source("config = ParallelConfig(retries=2)\n", LIB)
-        assert "FaultPolicy(retries=...)" in findings[0].message
-
-    def test_silent_on_policy_form(self):
-        src = ("config = ParallelConfig(\n"
-               "    execution=ExecutionPolicy(jobs=4),\n"
-               "    faults=FaultPolicy(retries=2))\n")
-        assert codes(src) == []
-
-    def test_silent_on_non_policy_keywords(self):
-        src = "config = ParallelConfig(checkpoint='c.pkl', progress=None)\n"
-        assert codes(src) == []
-
-    def test_tests_are_exempt(self):
-        assert codes("config = ParallelConfig(jobs=4)\n", TESTS) == []
-
-
 class TestNoqa:
     def test_bare_noqa_suppresses_everything(self):
         assert codes("t.data = x  # repro: noqa\n") == []
@@ -386,7 +359,7 @@ class TestDriver:
         assert isinstance(payload["line"], int)
 
     def test_every_rule_has_summary_and_function(self):
-        assert set(RULES) == {f"REPRO{i:03d}" for i in range(1, 14)}
+        assert set(RULES) == {f"REPRO{i:03d}" for i in range(1, 13)}
         for summary, func in RULES.values():
             assert summary and callable(func)
 

@@ -1,4 +1,4 @@
-"""Tests for the unified graph-builder registry and deprecation shims."""
+"""Tests for the unified graph-builder registry."""
 
 import warnings
 
@@ -89,54 +89,7 @@ class TestRegisterGuard:
 
 
 class TestDeprecationShims:
-    def _single_warning(self, recorded):
-        deprecations = [w for w in recorded
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1, \
-            f"expected exactly one DeprecationWarning, got {deprecations}"
-        return deprecations[0]
-
-    def test_keep_fraction_keyword_warns_and_matches(self, series):
-        new = build_adjacency(series, "correlation", gdt=0.3)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = build_adjacency(series, "correlation", keep_fraction=0.3)
-        warning = self._single_warning(recorded)
-        assert "keep_fraction" in str(warning.message)
-        np.testing.assert_array_equal(old, new)
-
-    def test_positional_form_warns_and_matches(self, series):
-        new = build_adjacency(series, "random", gdt=0.3, seed=5)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = build_adjacency(series, "random", 0.3,
-                                  np.random.default_rng(5))
-        warning = self._single_warning(recorded)
-        assert "positional" in str(warning.message)
-        np.testing.assert_array_equal(old, new)
-
-    def test_rng_keyword_warns_and_matches_seed(self, series):
-        """rng=default_rng(s) and seed=s build the identical random graph."""
-        new = build_adjacency(series, "random", gdt=0.5, seed=21)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = build_adjacency(series, "random", gdt=0.5,
-                                  rng=np.random.default_rng(21))
-        warning = self._single_warning(recorded)
-        assert "rng=" in str(warning.message)
-        np.testing.assert_array_equal(old, new)
-
-    def test_combined_deprecations_warn_once(self, series):
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            build_adjacency(series, "random", keep_fraction=0.5,
-                            rng=np.random.default_rng(3))
-        self._single_warning(recorded)
-
-    def test_gdt_and_keep_fraction_conflict(self, series):
-        with pytest.raises(TypeError, match="not both"):
-            build_adjacency(series, "correlation", gdt=0.3,
-                            keep_fraction=0.3)
+    """Only the uniform keyword signature is accepted."""
 
     def test_too_many_positionals(self, series):
         with pytest.raises(TypeError, match="positional"):
@@ -149,18 +102,3 @@ class TestDeprecationShims:
             build_adjacency(series, "correlation", gdt=0.3, seed=1)
         assert not [w for w in recorded
                     if issubclass(w.category, DeprecationWarning)]
-
-    @pytest.mark.parametrize("metric,legacy_kwarg", [
-        ("partial_correlation", {"shrinkage": 0.2}),
-        ("mutual_information", {"bins": 4}),
-    ])
-    def test_extended_positional_shim(self, series, metric, legacy_kwarg):
-        """Old positional extra on the raw metrics warns and still works."""
-        func = EXTENDED_METHODS[metric]
-        (value,) = legacy_kwarg.values()
-        new = func(series, **legacy_kwarg)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = func(series, value)
-        self._single_warning(recorded)
-        np.testing.assert_array_equal(old, new)

@@ -251,15 +251,6 @@ def _graph_learner():
     return lambda *ts: module().sum(), _params(module)
 
 
-@case("GTSGraphLearner")
-def _gts_graph_learner():
-    rng = _rng()
-    series = rng.standard_normal((4, 30))
-    module = nn.GTSGraphLearner(4, series.T, hidden=6, projection_dim=3,
-                                rng=rng)
-    return lambda *ts: module().sum(), _params(module)
-
-
 @case("MSELoss")
 def _mse_loss():
     rng = _rng()
@@ -364,7 +355,7 @@ def _cheb_conv_stacked():
 
 #: Exports that are not layers (helpers, base classes, the init module).
 NON_LAYER_EXPORTS = {"Module", "Parameter", "init", "scaled_laplacian",
-                     "series_node_features", "BATCHED_LANES"}
+                     "BATCHED_LANES"}
 
 
 def test_sweep_covers_every_export():

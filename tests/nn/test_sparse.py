@@ -2,10 +2,10 @@
 
 Three contracts are under test:
 
-* **backend bitwise** — every spmm backend (compiled kernel, scipy,
-  numpy fallback) accumulates each output element sequentially in CSR
-  row order, so the backends are mutually bitwise identical and equal to
-  the pure-python two-loop reference.
+* **backend bitwise** — both spmm backends (compiled kernel, scipy)
+  accumulate each output element sequentially in CSR row order, so the
+  backends are mutually bitwise identical and equal to the pure-python
+  two-loop reference.
 * **dense/sparse tolerance** — dense BLAS uses blocked summation, so the
   CSR path agrees with the dense path only to documented rounding
   (rtol 1e-5 float32 / 1e-12 float64): the parity sweep asserts that for
@@ -30,7 +30,7 @@ from repro.nn.sparse import (CSRMatrix, SPARSE_DENSITY_CROSSOVER,
                              SPARSE_MIN_NODES, csr_matmul, get_sparse_mode,
                              set_sparse_mode, should_use_sparse, spmm,
                              sparse_backend, sparse_operator)
-from repro.nn.sparse import _numpy_spmm, _reference_spmm
+from repro.nn.sparse import _reference_spmm
 
 RTOL = {"float32": 1e-5, "float64": 1e-12}
 
@@ -112,15 +112,6 @@ class TestBackendBitwise:
                                          .astype(dtype))
                 np.testing.assert_array_equal(spmm(csr, x),
                                               _reference_spmm(csr, x))
-
-    def test_numpy_fallback_matches_reference(self):
-        for dtype in (np.float32, np.float64):
-            csr, _ = _random_csr(dtype=dtype, seed=11)
-            x = np.ascontiguousarray(np.random.default_rng(11)
-                                     .standard_normal((13, 8)).astype(dtype))
-            out = np.empty((13, 8), dtype=dtype)
-            _numpy_spmm(csr, x, out)
-            np.testing.assert_array_equal(out, _reference_spmm(csr, x))
 
     def test_scipy_matches_reference(self):
         sp = pytest.importorskip("scipy.sparse")

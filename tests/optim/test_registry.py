@@ -1,4 +1,4 @@
-"""Tests for the optimizer registry, keyword-only shims, and fused Adam."""
+"""Tests for the optimizer registry, keyword-only hyperparameters, and fused Adam."""
 
 import warnings
 
@@ -70,38 +70,7 @@ class TestOptimizerRegistry:
 
 
 class TestKeywordOnlyShims:
-    def _single_warning(self, recorded):
-        deprecations = [w for w in recorded
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        return deprecations[0]
-
-    def test_adam_positional_warns_and_matches(self):
-        old_p, new_p = params(2), params(2)
-        put_grads(old_p), put_grads(new_p)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = Adam(old_p, 0.01, (0.8, 0.99), 1e-6, 0.01)
-        self._single_warning(recorded)
-        new = Adam(new_p, lr=0.01, betas=(0.8, 0.99), eps=1e-6,
-                   weight_decay=0.01)
-        old.step()
-        new.step()
-        for p_old, p_new in zip(old_p, new_p):
-            np.testing.assert_array_equal(p_old.data, p_new.data)
-
-    def test_sgd_positional_warns_and_matches(self):
-        old_p, new_p = params(3), params(3)
-        put_grads(old_p), put_grads(new_p)
-        with warnings.catch_warnings(record=True) as recorded:
-            warnings.simplefilter("always")
-            old = SGD(old_p, 0.1, 0.9, 0.01)
-        self._single_warning(recorded)
-        new = SGD(new_p, lr=0.1, momentum=0.9, weight_decay=0.01)
-        old.step()
-        new.step()
-        for p_old, p_new in zip(old_p, new_p):
-            np.testing.assert_array_equal(p_old.data, p_new.data)
+    """Hyperparameters beyond ``lr`` are keyword-only."""
 
     def test_too_many_positionals(self):
         with pytest.raises(TypeError):

@@ -119,3 +119,25 @@ class TestLifecycle:
         served = repro.load(tmp_path / "store",
                             expected_config_digest=digest)
         assert served.individuals == handle.individuals
+
+
+class TestHostileInputs:
+    def test_nan_beeps_fail_before_training(self, mini_cohort):
+        """Unimputed missed beeps are an input error, not a divergence."""
+        from repro.data.containers import EMADataset, Individual
+        from repro.training import CohortExecutionError
+
+        person = mini_cohort[0]
+        values = person.values.copy()
+        values[3:8] = np.nan
+        damaged = Individual(identifier=person.identifier, values=values,
+                             variable_names=person.variable_names)
+        with pytest.raises(CohortExecutionError) as caught:
+            repro.fit_cohort(EMADataset([damaged]), "tgcn", 2,
+                             trainer_config=TrainerConfig(epochs=2))
+        failure = caught.value.failure
+        assert failure.kind == "exception"
+        message = str(caught.value)
+        assert f"{5 * person.num_variables} non-finite" in message
+        assert "first in row 3" in message
+        assert "repro.data.imputation" in message

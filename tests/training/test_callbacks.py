@@ -11,9 +11,10 @@ from repro.data.windows import make_windows
 from repro.models import ModelConfig, create_model
 from repro.optim import Adam, clip_grad_norm
 from repro.training import (Callback, CallbackSpec, DivergenceGuard,
-                            EarlyStopping, EpochTimer, ParallelConfig,
-                            Trainer, TrainerConfig, TrainingContext,
-                            TrainingHistory, enumerate_cells, run_cells)
+                            EarlyStopping, EpochTimer, ExecutionPolicy,
+                            ParallelConfig, Trainer, TrainerConfig,
+                            TrainingContext, TrainingHistory,
+                            enumerate_cells, run_cells)
 
 V, L = 6, 2
 
@@ -303,7 +304,8 @@ class TestWorkerRoundTrip:
             model_config=ModelConfig(hidden_size=8), base_seed=3)
         assert len(cells) == 2
         serial = run_cells(cells)
-        parallel = run_cells(cells, ParallelConfig(jobs=2))
+        parallel = run_cells(cells, ParallelConfig(
+            execution=ExecutionPolicy(jobs=2)))
         assert [r.test_mse for r in serial] == \
             [r.test_mse for r in parallel]
         assert [r.history.losses for r in serial] == \

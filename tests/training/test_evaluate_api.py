@@ -1,12 +1,14 @@
-"""Tests for the hybrid Trainer.evaluate API (instance + static forms)."""
+"""Tests for the config-aware ``Trainer.evaluate`` instance methods."""
 
 import numpy as np
 import pytest
 
+from repro.autodiff import get_default_dtype
 from repro.data.windows import make_windows
+from repro.evaluation.per_variable import per_variable_mse
 from repro.models import create_model
 from repro.training import Trainer, TrainerConfig
-from repro.training.trainer import LOSSES, _evaluate
+from repro.training.trainer import LOSSES
 
 
 @pytest.fixture
@@ -20,24 +22,19 @@ def fitted():
 
 
 class TestHybridEvaluate:
-    def test_static_form_still_works(self, fitted):
-        _, model, windows = fitted
-        value = Trainer.evaluate(model, windows)
-        assert isinstance(value, float) and np.isfinite(value)
-
-    def test_instance_form_matches_static_for_default_config(self, fitted):
+    def test_default_loss_is_float64_mse(self, fitted):
+        """``loss="mse"`` accumulates the squared error in float64."""
         trainer, model, windows = fitted
-        assert trainer.evaluate(model, windows) == \
-            Trainer.evaluate(model, windows)
-
-    def test_static_form_is_the_legacy_function(self):
-        assert Trainer.evaluate is _evaluate
+        diff = model.predict(windows.inputs) - windows.targets.astype(
+            get_default_dtype())
+        expected = float(np.mean(diff.astype(np.float64) ** 2))
+        assert trainer.evaluate(model, windows) == expected
 
     def test_instance_honors_configured_loss(self, fitted):
         _, model, windows = fitted
         mae_trainer = Trainer(TrainerConfig(loss="mae"))
         mae_value = mae_trainer.evaluate(model, windows)
-        mse_value = Trainer.evaluate(model, windows)
+        mse_value = Trainer().evaluate(model, windows)
         assert mae_value != mse_value
         # cross-check against the registered loss on raw predictions.
         prediction = model.predict(windows.inputs)
@@ -53,12 +50,13 @@ class TestHybridEvaluate:
         trainer.evaluate(model, windows)
         assert not model.training
 
-    def test_per_variable_both_forms(self, fitted):
+    def test_per_variable_matches_per_variable_mse(self, fitted):
         trainer, model, windows = fitted
-        static = Trainer.evaluate_per_variable(model, windows)
-        instance = trainer.evaluate_per_variable(model, windows)
-        assert static.shape == (5,)
-        np.testing.assert_array_equal(static, instance)
+        per_variable = trainer.evaluate_per_variable(model, windows)
+        assert per_variable.shape == (5,)
+        np.testing.assert_array_equal(
+            per_variable,
+            per_variable_mse(windows.targets, model.predict(windows.inputs)))
 
     def test_unknown_loss_rejected(self):
         with pytest.raises(ValueError, match="loss"):

@@ -1,4 +1,4 @@
-"""FaultPolicy/ExecutionPolicy split and the flat-keyword deprecation shim."""
+"""FaultPolicy/ExecutionPolicy composition of ParallelConfig."""
 
 import warnings
 
@@ -6,18 +6,10 @@ import pytest
 
 from repro.training import (ExecutionPolicy, FaultPolicy, ParallelConfig,
                             TrainerConfig, run_cohort)
-from repro.training.parallel import _FLAT_KEYWORD_HOMES
-
-
-@pytest.fixture
-def fresh_warning_slate(monkeypatch):
-    """Reset the warn-once registry so each test observes first use."""
-    monkeypatch.setattr("repro.training.parallel._WARNED_FLAT_KEYWORDS",
-                        set())
 
 
 class TestPolicyComposition:
-    def test_policy_form_emits_no_warning(self, fresh_warning_slate):
+    def test_policy_form_emits_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             config = ParallelConfig(
@@ -32,7 +24,7 @@ class TestPolicyComposition:
         assert config.timeout == 5.0
         assert config.on_error == "collect"
 
-    def test_defaults_need_no_policies(self, fresh_warning_slate):
+    def test_defaults_need_no_policies(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             config = ParallelConfig()
@@ -57,79 +49,6 @@ class TestPolicyComposition:
             FaultPolicy(on_error="explode")
         with pytest.raises(ValueError):
             FaultPolicy(retry_backoff=-0.5)
-
-
-class TestFlatKeywordShim:
-    def test_flat_keywords_still_work(self, fresh_warning_slate):
-        with pytest.warns(DeprecationWarning, match="jobs="):
-            config = ParallelConfig(jobs=3, retries=2, on_error="skip")
-        assert config.jobs == 3
-        assert config.retries == 2
-        assert config.on_error == "skip"
-        assert config.execution.jobs == 3
-        assert config.faults.retries == 2
-
-    def test_warns_exactly_once_per_keyword(self, fresh_warning_slate):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ParallelConfig(jobs=2)
-            ParallelConfig(jobs=4)
-            ParallelConfig(jobs=8)
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "jobs=" in str(deprecations[0].message)
-        assert "ExecutionPolicy.jobs" in str(deprecations[0].message)
-
-    def test_second_keyword_still_gets_its_own_warning(
-            self, fresh_warning_slate):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ParallelConfig(jobs=2)
-            ParallelConfig(retries=1)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 2
-        assert "jobs=" in messages[0]
-        assert "retries=" in messages[1]
-
-    def test_flat_validation_still_applies(self, fresh_warning_slate):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError):
-                ParallelConfig(jobs=0)
-            with pytest.raises(ValueError):
-                ParallelConfig(on_error="explode")
-
-    def test_mixing_policy_and_its_flat_keywords_is_an_error(
-            self, fresh_warning_slate):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="execution="):
-                ParallelConfig(jobs=2, execution=ExecutionPolicy(jobs=2))
-            with pytest.raises(TypeError, match="faults="):
-                ParallelConfig(retries=1, faults=FaultPolicy(retries=1))
-
-    def test_cross_policy_mixing_is_fine(self, fresh_warning_slate):
-        # Flat fault keywords alongside an explicit ExecutionPolicy (and
-        # vice versa) are unambiguous — only same-policy overlap errors.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = ParallelConfig(retries=1,
-                                    execution=ExecutionPolicy(jobs=2))
-        assert config.jobs == 2
-        assert config.retries == 1
-
-    def test_every_flat_keyword_is_mapped(self):
-        assert set(_FLAT_KEYWORD_HOMES) == {
-            "jobs", "backend", "stack_size", "retries", "timeout",
-            "on_error", "retry_backoff", "divergence_reseed",
-            "fault_injector"}
-
-    def test_lint_rule_mirrors_the_shim_mapping(self):
-        from repro.analysis.lint import _FLAT_PARALLEL_KEYWORDS
-
-        assert _FLAT_PARALLEL_KEYWORDS == _FLAT_KEYWORD_HOMES
 
 
 class TestSchedulerIntegration:

@@ -13,8 +13,8 @@ import pytest
 from repro.autodiff import set_default_dtype
 from repro.data.containers import EMADataset, Individual
 from repro.models import ModelConfig
-from repro.training import (ParallelConfig, TrainerConfig, run_cohort,
-                            stackable_reason)
+from repro.training import (ExecutionPolicy, FaultPolicy, ParallelConfig,
+                            TrainerConfig, run_cohort, stackable_reason)
 from repro.training.callbacks import CallbackSpec
 from repro.training.personalized import enumerate_cells
 
@@ -39,12 +39,13 @@ def make_cohort(num_individuals=3, num_variables=5, time_points=50,
 
 
 def run_both(cohort, model, trainer_config, seq_len=2, stack_size=32,
-             parallel_kwargs=None, **kw):
+             faults=None, **kw):
     results = []
     for backend in ("process", "stacked"):
-        parallel = ParallelConfig(jobs=1, backend=backend,
-                                  stack_size=stack_size,
-                                  **(parallel_kwargs or {}))
+        parallel = ParallelConfig(
+            execution=ExecutionPolicy(jobs=1, backend=backend,
+                                      stack_size=stack_size),
+            faults=faults)
         results.append(run_cohort(cohort, model, seq_len,
                                   trainer_config=trainer_config,
                                   model_config=FAST_MODEL,
@@ -146,7 +147,8 @@ class TestJitReplay:
         jitted_config = dataclasses.replace(trainer_config, jit=True)
         results = []
         for config in (trainer_config, jitted_config):
-            parallel = ParallelConfig(jobs=1, backend="stacked")
+            parallel = ParallelConfig(
+                execution=ExecutionPolicy(jobs=1, backend="stacked"))
             results.append(run_cohort(cohort, model, 2,
                                       trainer_config=config,
                                       model_config=FAST_MODEL,
@@ -190,11 +192,13 @@ class TestJitReplay:
         config = TrainerConfig(epochs=4, jit=True)
         serial = run_cohort(cohort, "lstm", 2, trainer_config=config,
                             model_config=FAST_MODEL,
-                            parallel=ParallelConfig(jobs=1))
+                            parallel=ParallelConfig(
+                                execution=ExecutionPolicy(jobs=1)))
         stacked = run_cohort(cohort, "lstm", 2, trainer_config=config,
                              model_config=FAST_MODEL,
-                             parallel=ParallelConfig(jobs=1,
-                                                     backend="stacked"))
+                             parallel=ParallelConfig(
+                                 execution=ExecutionPolicy(
+                                     jobs=1, backend="stacked")))
         assert_identical(serial, stacked)
 
     def test_huber_stack_falls_back_bitwise(self):
@@ -235,7 +239,7 @@ class TestLaneMasks:
             epochs=8, learning_rate=5.0,
             callbacks=(CallbackSpec.make("divergence-guard"),))
         serial, stacked = run_both(cohort, "lstm", config,
-                                   parallel_kwargs=dict(on_error="collect"))
+                                   faults=FaultPolicy(on_error="collect"))
         assert_identical(serial, stacked)
         assert isinstance(stacked[1], CellFailure)
         assert stacked[1].kind == "divergence"
@@ -250,9 +254,9 @@ class TestLaneMasks:
         cohort = make_cohort(num_individuals=3, ragged=False, scale_one=1)
         config = TrainerConfig(epochs=8, learning_rate=5.0)
         serial, stacked = run_both(cohort, "lstm", config,
-                                   parallel_kwargs=dict(on_error="collect",
-                                                        retries=1,
-                                                        retry_backoff=0.0))
+                                   faults=FaultPolicy(on_error="collect",
+                                                      retries=1,
+                                                      retry_backoff=0.0))
         assert_identical(serial, stacked)
         assert isinstance(stacked[1], CellFailure)
         assert stacked[1].kind == "divergence"
@@ -287,9 +291,10 @@ class TestRouting:
 
     def test_backend_validation(self):
         with pytest.raises(ValueError):
-            ParallelConfig(backend="gpu")
+            ParallelConfig(execution=ExecutionPolicy(backend="gpu"))
         with pytest.raises(ValueError):
-            ParallelConfig(backend="stacked", stack_size=0)
+            ParallelConfig(
+                execution=ExecutionPolicy(backend="stacked", stack_size=0))
 
     def test_stack_failure_falls_back_to_solo(self, monkeypatch):
         # A crash inside the stacked executor must not fail the run: the
@@ -306,11 +311,13 @@ class TestRouting:
             results = run_cohort(
                 cohort, "lstm", 2, trainer_config=TrainerConfig(epochs=2),
                 model_config=FAST_MODEL,
-                parallel=ParallelConfig(jobs=1, backend="stacked"))
+                parallel=ParallelConfig(
+                    execution=ExecutionPolicy(jobs=1, backend="stacked")))
         serial = run_cohort(cohort, "lstm", 2,
                             trainer_config=TrainerConfig(epochs=2),
                             model_config=FAST_MODEL,
-                            parallel=ParallelConfig(jobs=1))
+                            parallel=ParallelConfig(
+                                execution=ExecutionPolicy(jobs=1)))
         assert_identical(serial, results)
 
 

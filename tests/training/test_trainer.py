@@ -50,7 +50,7 @@ class TestTrainer:
         series = predictable_series(seed=1)
         windows = make_windows(series, L)
         model = create_model("lstm", V, L, seed=0)
-        score = Trainer.evaluate(model, windows)
+        score = Trainer().evaluate(model, windows)
         pred = model.predict(windows.inputs)
         manual = float(np.mean((pred - windows.targets) ** 2))
         assert score == pytest.approx(manual, rel=1e-5)
@@ -59,9 +59,9 @@ class TestTrainer:
         series = predictable_series(seed=2)
         split = split_windows(series, L)
         model = create_model("lstm", V, L, seed=0)
-        before = Trainer.evaluate(model, split.test)
+        before = Trainer().evaluate(model, split.test)
         Trainer(TrainerConfig(epochs=80)).fit(model, split.train)
-        after = Trainer.evaluate(model, split.test)
+        after = Trainer().evaluate(model, split.test)
         assert after < before
 
     def test_training_is_deterministic_under_seed(self):
@@ -81,10 +81,10 @@ class TestTrainer:
         windows = make_windows(series, L)
         model = create_model("lstm", V, L, seed=0)
         model.eval()
-        Trainer.evaluate(model, windows)
+        Trainer().evaluate(model, windows)
         assert model.training is False
         model.train()
-        Trainer.evaluate(model, windows)
+        Trainer().evaluate(model, windows)
         assert model.training is True
 
     def test_grad_clip_none_allowed(self):
