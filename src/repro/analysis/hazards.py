@@ -182,7 +182,7 @@ UNREPLAYABLE_TENSOR_METHODS = frozenset({
     "clip", "max", "pad_last", "unfold_last",
 })
 
-#: Models with a lane-exact stacked forward.
+#: Models whose forwards are lane-generic (see :func:`repro.nn.stack_lanes`).
 STACKED_MODELS = ("lstm", "tgcn", "a3tgcn")
 
 #: Optimizers with a lane-masked stacked implementation.

@@ -15,7 +15,7 @@ import numpy as np
 
 from .windows import WindowSet, make_windows
 
-__all__ = ["TrainTestWindows", "split_boundary", "split_windows"]
+__all__ = ["TrainTestWindows", "require_finite", "split_boundary", "split_windows"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,23 @@ def split_boundary(num_time_points: int, train_fraction: float = 0.7) -> int:
     return int(round(train_fraction * num_time_points))
 
 
+def require_finite(values: np.ndarray, what: str, use: str) -> None:
+    """Raise ``ValueError`` if the ``(rows, variables)`` ``values`` hold NaN/inf.
+
+    The message names the count and the first offending row and points to
+    the imputers: a missed beep must fail here, before ``use``, rather
+    than surface later as a diverged fit or a NaN forecast.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        first_row = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise ValueError(
+            f"{what} has {int(finite.size - finite.sum())} non-finite "
+            f"value(s), first in row {first_row}; impute missed beeps "
+            f"before {use} (repro.data.imputation: forward_fill, "
+            f"mean_impute, linear_interpolate) or drop those rows")
+
+
 def split_windows(values: np.ndarray, seq_len: int,
                   train_fraction: float = 0.7) -> TrainTestWindows:
     """Window a recording and split by target index at ``train_fraction``.
@@ -51,14 +68,7 @@ def split_windows(values: np.ndarray, seq_len: int,
     """
     values = np.asarray(values, dtype=np.float64)
     windows = make_windows(values, seq_len)
-    finite = np.isfinite(values)
-    if not finite.all():
-        first_row = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise ValueError(
-            f"recording has {int(finite.size - finite.sum())} non-finite "
-            f"value(s), first in row {first_row}; impute missed beeps "
-            f"before training (repro.data.imputation: forward_fill, "
-            f"mean_impute, linear_interpolate) or drop those rows")
+    require_finite(values, "recording", "training")
     boundary = split_boundary(values.shape[0], train_fraction)
     train_mask = windows.target_indices < boundary
     test_mask = ~train_mask

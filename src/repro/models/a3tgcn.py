@@ -50,19 +50,21 @@ class A3TGCN(Forecaster):
 
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
-        samples = inputs.shape[0]
-        hidden = self.cell.initial_state(samples, self.num_variables)
+        # Leading axes (samples,), or (lanes, samples) on a stack_lanes clone.
+        lead = inputs.shape[:-2]
+        hidden = self.cell.initial_state(lead + (self.num_variables,))
         states = []
         for t in range(self.seq_len):
-            step = inputs[:, t, :].reshape(samples, self.num_variables, 1)
+            step = inputs[..., t, :].reshape(*lead, self.num_variables, 1)
             hidden = self.cell(step, hidden)
             states.append(hidden)
         if len(states) == 1:
             context = states[0]
         else:
             # (S, L, V, H) weighted by the global period attention -> (S, V, H)
-            sequence = stack(states, axis=1)
-            weights = softmax(self.attention, axis=0).reshape(1, self.seq_len, 1, 1)
-            context = (sequence * weights).sum(axis=1)
+            sequence = stack(states, axis=-3)
+            weights = softmax(self.attention, axis=-1).reshape(
+                *self.attention.shape[:-1], 1, self.seq_len, 1, 1)
+            context = (sequence * weights).sum(axis=-3)
         out = self.head(self.dropout(context))
-        return out.reshape(samples, self.num_variables)
+        return out.reshape(*lead, self.num_variables)

@@ -29,6 +29,9 @@ class Forecaster(Module):
     """
 
     requires_graph: bool = False
+    #: Lane count ``K`` on a clone built by :func:`repro.nn.stack_lanes`,
+    #: whose input carries one extra leading lane axis; ``None`` when solo.
+    num_lanes: int | None = None
 
     def __init__(self, num_variables: int, seq_len: int):
         super().__init__()
@@ -38,11 +41,13 @@ class Forecaster(Module):
         self.seq_len = seq_len
 
     def _check_input(self, inputs: Tensor) -> None:
-        if inputs.ndim != 3 or inputs.shape[1] != self.seq_len \
-                or inputs.shape[2] != self.num_variables:
+        lanes = () if self.num_lanes is None else (self.num_lanes,)
+        if inputs.ndim != len(lanes) + 3 or inputs.shape[:-3] != lanes \
+                or inputs.shape[-2:] != (self.seq_len, self.num_variables):
+            lead = "".join(f"{k} lanes, " for k in lanes)
             raise ValueError(
-                f"{type(self).__name__} expects (samples, {self.seq_len}, "
-                f"{self.num_variables}), got {inputs.shape}")
+                f"{type(self).__name__} expects ({lead}samples, "
+                f"{self.seq_len}, {self.num_variables}), got {inputs.shape}")
 
     def set_adjacency(self, adjacency: np.ndarray) -> None:
         """Swap the variable graph (no-op for graph-free models)."""

@@ -64,10 +64,10 @@ class TGCNCell(Module):
         candidate = self.candidate(concat([gc, reset * h], axis=-1)).tanh()
         return update * h + (1.0 - update) * candidate
 
-    def initial_state(self, samples: int, nodes: int) -> Tensor:
+    def initial_state(self, leading_shape: tuple[int, ...]) -> Tensor:
         from ..autodiff.tensor import get_default_dtype
 
-        return Tensor(np.zeros((samples, nodes, self.hidden_size),
+        return Tensor(np.zeros(leading_shape + (self.hidden_size,),
                                dtype=get_default_dtype()))
 
 
@@ -100,10 +100,11 @@ class TGCNForecaster(Forecaster):
 
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
-        samples = inputs.shape[0]
-        hidden = self.cell.initial_state(samples, self.num_variables)
+        # Leading axes (samples,), or (lanes, samples) on a stack_lanes clone.
+        lead = inputs.shape[:-2]
+        hidden = self.cell.initial_state(lead + (self.num_variables,))
         for t in range(self.seq_len):
-            step = inputs[:, t, :].reshape(samples, self.num_variables, 1)
+            step = inputs[..., t, :].reshape(*lead, self.num_variables, 1)
             hidden = self.cell(step, hidden)
         out = self.head(self.dropout(hidden))
-        return out.reshape(samples, self.num_variables)
+        return out.reshape(*lead, self.num_variables)

@@ -15,9 +15,9 @@ from .recurrent import GRUCell, LSTM, LSTMCell
 from .conv import DilatedInception, TemporalConv2d
 from .attention import SpatialAttention, TemporalAttention, TemporalAttentionPool
 from .graph import (ChebConv, GCNConv, GraphLearner, MixHopPropagation,
-                    cheb_conv_stacked, gcn_conv_stacked, scaled_laplacian)
+                    scaled_laplacian)
 from .stacked_ops import (lane_affine, lane_bias_add, lane_matmul,
-                          lane_propagate)
+                          lane_propagate, stack_lanes)
 from .loss import HuberLoss, MAELoss, MSELoss
 from . import init
 
@@ -29,8 +29,9 @@ __all__ = [
     "TemporalConv2d", "DilatedInception",
     "TemporalAttentionPool", "SpatialAttention", "TemporalAttention",
     "GCNConv", "ChebConv", "MixHopPropagation", "GraphLearner",
-    "scaled_laplacian", "gcn_conv_stacked", "cheb_conv_stacked",
+    "scaled_laplacian",
     "lane_matmul", "lane_bias_add", "lane_affine", "lane_propagate",
+    "stack_lanes",
     "MSELoss", "MAELoss", "HuberLoss",
     "init",
 ]

@@ -22,11 +22,10 @@ from .graphcache import (cached_chebyshev_basis, cached_normalized_adjacency,
                          cached_sparse_chebyshev, cached_sparse_normalized)
 from .linear import Linear
 from .module import Module, Parameter
-from .sparse import CSRMatrix, csr_matmul, should_use_sparse
-from .stacked_ops import lane_affine, lane_propagate
+from .sparse import CSRMatrix, csr_matmul, gcn_routes_sparse, should_use_sparse
 
 __all__ = ["GCNConv", "ChebConv", "MixHopPropagation", "GraphLearner",
-           "scaled_laplacian", "gcn_conv_stacked", "cheb_conv_stacked"]
+           "scaled_laplacian"]
 
 
 def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -73,8 +72,8 @@ class GCNConv(Module):
         runs once per distinct adjacency instead of once per model.
 
         The dense/sparse routing decision is made here, once per graph
-        swap rather than per forward: if the autoswitch
-        (:func:`repro.nn.sparse.should_use_sparse`, honoring the
+        swap rather than per forward: if
+        :func:`repro.nn.sparse.gcn_routes_sparse` (honoring the
         process-wide sparse mode) routes sparse, the CSR factorization of
         the *same* cached operator is fetched and propagation runs
         through :func:`repro.nn.sparse.csr_matmul`.
@@ -83,8 +82,7 @@ class GCNConv(Module):
         self._propagation = Tensor(dense)
         self.num_nodes = dense.shape[0]
         self._sparse = None
-        density = np.count_nonzero(dense) / dense.size
-        if should_use_sparse(self.num_nodes, density, dense.dtype):
+        if gcn_routes_sparse(adjacency, dense.dtype):
             self._sparse = cached_sparse_normalized(adjacency)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -94,39 +92,6 @@ class GCNConv(Module):
         if self._sparse is not None:
             return self.linear(csr_matmul(self._sparse, x))
         return self.linear(self._propagation @ x)
-
-
-def gcn_conv_stacked(propagation: np.ndarray, x: Tensor, weight: Tensor,
-                     bias: Tensor | None = None) -> Tensor:
-    """Per-lane :class:`GCNConv` forward over a ``(K, V, V)`` operator.
-
-    ``propagation`` is a stacked constant from
-    :func:`~repro.nn.graphcache.cached_stacked_adjacency`; ``weight`` /
-    ``bias`` are the stacked ``linear`` parameters.  Lane ``k`` computes
-    exactly ``linear(Â_k @ x_k)`` — the solo forward, op for op — so the
-    stacked cohort executor's A3TGCN cells match their per-individual
-    counterparts bitwise.
-    """
-    return lane_affine(lane_propagate(propagation, x), weight, bias)
-
-
-def cheb_conv_stacked(basis: tuple[np.ndarray, ...], x: Tensor,
-                      weights: list[Tensor],
-                      biases: list[Tensor | None]) -> Tensor:
-    """Per-lane :class:`ChebConv` forward over stacked Chebyshev bases.
-
-    ``basis`` comes from
-    :func:`~repro.nn.graphcache.cached_stacked_chebyshev`; ``weights`` /
-    ``biases`` are the stacked per-order ``Linear`` parameters (only
-    order 0 carries a bias, mirroring the solo layer).  Mirrors the
-    unattended solo forward: ``sum_k linear_k(T_k @ x)`` with the same
-    left-to-right term accumulation.
-    """
-    out = None
-    for t_k, weight, bias in zip(basis, weights, biases):
-        term = lane_affine(lane_propagate(t_k, x), weight, bias)
-        out = term if out is None else out + term
-    return out
 
 
 class ChebConv(Module):

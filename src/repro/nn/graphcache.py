@@ -26,8 +26,7 @@ import numpy as np
 from ..autodiff import get_default_dtype, normalize_adjacency
 
 __all__ = ["cached_normalized_adjacency", "cached_chebyshev_basis",
-           "cached_row_normalized", "cached_stacked_adjacency",
-           "cached_stacked_chebyshev", "cached_sparse_normalized",
+           "cached_row_normalized", "cached_sparse_normalized",
            "cached_sparse_chebyshev", "cached_sparse_row_normalized",
            "clear_graph_caches", "cache_info"]
 
@@ -39,8 +38,6 @@ _MAX_ENTRIES = 256
 _NORMALIZED: OrderedDict = OrderedDict()
 _CHEB_BASIS: OrderedDict = OrderedDict()
 _ROW_NORMALIZED: OrderedDict = OrderedDict()
-_STACKED_NORMALIZED: OrderedDict = OrderedDict()
-_STACKED_CHEB: OrderedDict = OrderedDict()
 _SPARSE_NORMALIZED: OrderedDict = OrderedDict()
 _SPARSE_CHEB: OrderedDict = OrderedDict()
 _SPARSE_ROW_NORMALIZED: OrderedDict = OrderedDict()
@@ -132,56 +129,6 @@ def cached_row_normalized(adjacency: np.ndarray) -> np.ndarray:
     return _lookup(_ROW_NORMALIZED, key, build)
 
 
-def cached_stacked_adjacency(adjacencies) -> np.ndarray:
-    """Memoized ``(K, V, V)`` stack of normalized propagation matrices.
-
-    The per-batch operand of the stacked cohort executor: lane ``k`` is
-    exactly ``cached_normalized_adjacency(adjacencies[k])`` — the same
-    cache entries the per-individual models use, so every lane of the
-    stack propagates over bit-identical constants — copied into one
-    read-only contiguous stack.  Keyed by the per-lane content
-    fingerprints plus the default dtype, so two cohort chunks sharing the
-    same graphs in the same order share one stack.
-    """
-    adjacencies = list(adjacencies)
-    if not adjacencies:
-        raise ValueError("need at least one adjacency to stack")
-    dtype = np.dtype(get_default_dtype()).str
-    key = (tuple(_fingerprint(a) for a in adjacencies), dtype)
-
-    def build():
-        out = np.stack([cached_normalized_adjacency(a) for a in adjacencies])
-        out.setflags(write=False)
-        return out
-
-    return _lookup(_STACKED_NORMALIZED, key, build)
-
-
-def cached_stacked_chebyshev(adjacencies, order: int) -> tuple[np.ndarray, ...]:
-    """Memoized per-order ``(K, V, V)`` stacks of Chebyshev bases.
-
-    Returns ``order`` read-only stacks; stack ``j``'s lane ``k`` is
-    ``cached_chebyshev_basis(adjacencies[k], order)[j]`` — the exact
-    per-individual basis matrices, batched for the stacked executor's
-    :class:`~repro.nn.graph.ChebConv` path.
-    """
-    adjacencies = list(adjacencies)
-    if not adjacencies:
-        raise ValueError("need at least one adjacency to stack")
-    dtype = np.dtype(get_default_dtype()).str
-    key = (tuple(_fingerprint(a) for a in adjacencies), int(order), dtype)
-
-    def build():
-        bases = [cached_chebyshev_basis(a, order) for a in adjacencies]
-        out = tuple(np.stack([basis[j] for basis in bases])
-                    for j in range(order))
-        for stacked in out:
-            stacked.setflags(write=False)
-        return out
-
-    return _lookup(_STACKED_CHEB, key, build)
-
-
 def cached_sparse_normalized(adjacency: np.ndarray,
                              add_self_loops: bool = True):
     """Memoized CSR factorization of the normalized adjacency.
@@ -249,8 +196,6 @@ def clear_graph_caches() -> None:
     _NORMALIZED.clear()
     _CHEB_BASIS.clear()
     _ROW_NORMALIZED.clear()
-    _STACKED_NORMALIZED.clear()
-    _STACKED_CHEB.clear()
     _SPARSE_NORMALIZED.clear()
     _SPARSE_CHEB.clear()
     _SPARSE_ROW_NORMALIZED.clear()
@@ -263,8 +208,6 @@ def cache_info() -> dict:
     return {"hits": _COUNTS["hits"], "misses": _COUNTS["misses"],
             "normalized": len(_NORMALIZED), "chebyshev": len(_CHEB_BASIS),
             "row_normalized": len(_ROW_NORMALIZED),
-            "stacked": len(_STACKED_NORMALIZED),
-            "stacked_chebyshev": len(_STACKED_CHEB),
             "sparse_normalized": len(_SPARSE_NORMALIZED),
             "sparse_chebyshev": len(_SPARSE_CHEB),
             "sparse_row_normalized": len(_SPARSE_ROW_NORMALIZED)}

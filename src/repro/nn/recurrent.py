@@ -91,10 +91,12 @@ class LSTMCell(Module):
 
 
 class LSTM(Module):
-    """Multi-step (optionally stacked) LSTM over axis 1.
+    """Multi-step (optionally stacked) LSTM over the steps axis.
 
-    Input ``(batch, steps, features)``; returns the stacked hidden states
-    ``(batch, steps, hidden)`` and the final ``(h, c)`` of the last layer.
+    Input ``(..., batch, steps, features)`` (the extra leading axis is a
+    :func:`~repro.nn.stack_lanes` clone's lane axis); returns the stacked
+    hidden states ``(..., batch, steps, hidden)`` and the final ``(h, c)``
+    of the last layer.
     """
 
     def __init__(self, input_size: int, hidden_size: int, num_layers: int = 1,
@@ -113,17 +115,16 @@ class LSTM(Module):
             for i in range(num_layers))
 
     def forward(self, x: Tensor) -> tuple[Tensor, tuple[Tensor, Tensor]]:
-        if x.ndim != 3:
+        if x.ndim < 3:
             raise ValueError(f"LSTM expects (batch, steps, features), got {x.shape}")
-        batch, steps, _ = x.shape
-        layer_input = [x[:, t, :] for t in range(steps)]
+        layer_input = [x[..., t, :] for t in range(x.shape[-2])]
         final_state: tuple[Tensor, Tensor] | None = None
         for cell in self.cells:
-            h, c = cell.initial_state((batch,))
+            h, c = cell.initial_state(x.shape[:-2])
             outputs = []
             for step_x in layer_input:
                 h, c = cell(step_x, (h, c))
                 outputs.append(h)
             layer_input = outputs
             final_state = (h, c)
-        return stack(layer_input, axis=1), final_state
+        return stack(layer_input, axis=-2), final_state

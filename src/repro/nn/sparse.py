@@ -50,6 +50,7 @@ __all__ = [
     "set_sparse_mode",
     "get_sparse_mode",
     "should_use_sparse",
+    "gcn_routes_sparse",
     "SPARSE_MODES",
     "SPARSE_MIN_NODES",
     "SPARSE_DENSITY_CROSSOVER",
@@ -394,6 +395,23 @@ def should_use_sparse(num_nodes, structural_density, dtype=None, mode=None) -> b
         return False
     crossover = SPARSE_DENSITY_CROSSOVER[sparse_backend()][dtype_name]
     return structural_density <= crossover
+
+
+def gcn_routes_sparse(adjacency, dtype=None, mode=None) -> bool:
+    """Whether a GCN layer over ``adjacency`` propagates through CSR.
+
+    The one routing decision for the normalized GCN operator
+    ``D^{-1/2}(A + I)D^{-1/2}``, whose zero pattern is the graph's
+    nonzeros plus the self-loop diagonal.  :class:`~repro.nn.graph.GCNConv`
+    routes its forward by it, and the stacked trainer and the serving
+    engine keep sparse-routed graphs off their dense-only lane path by
+    the same call, so the guards cannot disagree with the layer.
+    """
+
+    graph = np.asarray(adjacency)
+    nodes = graph.shape[0]
+    nonzeros = np.count_nonzero((graph != 0) | np.eye(nodes, dtype=bool))
+    return should_use_sparse(nodes, nonzeros / (nodes * nodes), dtype, mode)
 
 
 def sparse_operator(dense_operator: np.ndarray, mode=None):

@@ -32,6 +32,9 @@ Bit-exactness contract (asserted end-to-end in ``tests/training``):
   (``(V, V) @ (..., V, C)``) per lane over a constant ``(K, V, V)``
   operator stack.
 
+:func:`stack_lanes` builds a lane model from ``K`` solo models on these
+ops, so a model has one forward for solo, stacked and batched execution.
+
 Batched fast path
 -----------------
 ``np.matmul`` on ``(K, m, n) @ (K, n, p)`` stacks dispatches one BLAS
@@ -48,12 +51,18 @@ loops.  The probe verdict is exposed as :data:`BATCHED_LANES`.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..autodiff import Tensor
+from .dropout import Dropout
+from .graph import GCNConv
+from .linear import Linear
+from .module import Module, Parameter
 
 __all__ = ["BATCHED_LANES", "lane_matmul", "lane_bias_add", "lane_affine",
-           "lane_propagate"]
+           "lane_propagate", "stack_lanes"]
 
 
 def _probe_batched_exactness() -> bool:
@@ -205,8 +214,8 @@ def lane_affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
 def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
     """Per-lane graph propagation ``out[k] = operator[k] @ x[k]``.
 
-    ``operator`` is a constant ``(K, V, V)`` stack (e.g. from
-    :func:`repro.nn.graphcache.cached_stacked_adjacency`); ``x`` is
+    ``operator`` is a constant ``(K, V, V)`` stack (the solo layers'
+    normalized operators, see :func:`stack_lanes`); ``x`` is
     ``(K, ..., V, C)``.  Forward and backward mirror the solo
     ``(V, V) @ (..., V, C)`` matmul branch (the ``_mix`` flatten-to-one-
     GEMM trick) once per lane; the operator is never differentiated.
@@ -258,3 +267,129 @@ def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
         x._accumulate(gx)
 
     return Tensor._make(out, (x,), lane_propagate_backward)
+
+
+# ----------------------------------------------------------------------
+# Lane models from solo module trees.
+
+
+# A lane twin copies its solo class's plain attributes like any clone; it
+# rebuilds the ones named in ``_derived`` from the K solos in ``_adopt``.
+
+
+class _LaneLinear(Module):
+    """Lane twin of :class:`~repro.nn.Linear`: ``x[k] @ W[k].T + b[k]``."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        return lane_affine(x, self.weight, self.bias)
+
+
+class _LaneGCNConv(Module):
+    """Lane twin of a dense :class:`~repro.nn.GCNConv`: propagate over the
+    ``(K, V, V)`` stack of the solo operators, then the lane ``linear``."""
+
+    _derived = ("_propagation", "_sparse")
+
+    def _adopt(self, solos: list, path: str) -> None:
+        # The lane ops are dense-only: a solo layer routed through the CSR
+        # path would make lane k differ from solo k in the last bits.
+        if any(solo._sparse is not None for solo in solos):
+            raise TypeError(f"stack_lanes: {path or 'GCNConv'} is "
+                            f"sparse-routed; lane propagation is dense-only")
+        operator = np.stack([solo._propagation.data for solo in solos])
+        operator.setflags(write=False)
+        self._propagation = operator
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self.linear(lane_propagate(self._propagation, x))
+
+
+class _LaneDropout(Module):
+    """Lane twin of :class:`~repro.nn.Dropout`: lane ``k``'s mask is one
+    solo-shaped draw from solo ``k``'s generator, its exact solo stream."""
+
+    _derived = ("rng",)
+
+    def _adopt(self, solos: list, path: str) -> None:
+        self._solos = solos
+
+    def _draw_masks(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        return np.stack([solo._draw_mask(shape, dtype) for solo in self._solos])
+
+    def forward(self, x: Tensor) -> Tensor:
+        if not self.training or self.p == 0.0:
+            return x
+        shape, dtype = x.shape[1:], x.data.dtype
+        mask = Tensor(self._draw_masks(shape, dtype))
+        # Volatile, like the solo mask: trace replay redraws it per epoch.
+        mask._trace_src = ("volatile", partial(self._draw_masks, shape, dtype))
+        return x * mask
+
+
+_LANE_TWINS = {Linear: _LaneLinear, GCNConv: _LaneGCNConv,
+               Dropout: _LaneDropout}
+
+
+def _is_plain(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_is_plain(item) for item in value)
+    return value is None or isinstance(value, (bool, int, float, str,
+                                               np.generic))
+
+
+def _clone(solos: list, path: str) -> Module:
+    first = solos[0]
+    kind = type(first)
+    if any(type(solo) is not kind for solo in solos):
+        raise TypeError(f"stack_lanes: {path or 'root'} mixes module types")
+    twin = _LANE_TWINS.get(kind, kind)
+    clone = object.__new__(twin)
+    Module.__init__(clone)
+    for name in first._parameters:
+        setattr(clone, name, Parameter(
+            np.stack([solo._parameters[name].data for solo in solos])))
+    children = {}
+    for name, child in first._modules.items():
+        children[id(child)] = _clone([solo._modules[name] for solo in solos],
+                                     f"{path}{name}.")
+        clone.register_module(name, children[id(child)])
+    skip = {"_parameters", "_modules", "training", *first._parameters,
+            *first._modules, *getattr(twin, "_derived", ())}
+    for name, value in vars(first).items():
+        if name in skip:
+            continue
+        if isinstance(value, list) and all(id(item) in children
+                                           for item in value):
+            value = [children[id(item)] for item in value]  # container items
+        elif not (_is_plain(value)
+                  and all(vars(solo).get(name) == value for solo in solos)):
+            raise TypeError(f"stack_lanes: {path}{name} "
+                            f"({type(value).__name__}) has no lane form")
+        object.__setattr__(clone, name, value)
+    object.__setattr__(clone, "training", first.training)
+    if hasattr(twin, "_adopt"):
+        clone._adopt(solos, path.rstrip("."))
+    return clone
+
+
+def stack_lanes(models) -> Module:
+    """Clone ``K`` solo models of one architecture into one lane model.
+
+    The clone keeps the solo module tree and parameter names; each
+    parameter becomes the ``(K, *shape)`` stack of the solo values (in the
+    current default dtype, which must be the solos'), and lane ``k`` of
+    every output and gradient equals solo ``k``'s bitwise.  ``Linear``,
+    dense ``GCNConv`` and ``Dropout`` become lane twins; every other
+    module runs its own ``forward``, which must accept one extra leading
+    lane axis.  Per-instance state with no lane form — an array, tensor or
+    generator, or a plain value the solos disagree on — raises a
+    ``TypeError`` naming the attribute.  The root records ``num_lanes``,
+    which lets a :class:`~repro.models.base.Forecaster` take
+    ``(K, samples, seq_len, V)`` input.
+    """
+    models = list(models)
+    if not models:
+        raise ValueError("stack_lanes needs at least one model")
+    clone = _clone(models, "")
+    clone.num_lanes = len(models)
+    return clone

@@ -3,25 +3,29 @@
 Serving a cohort means answering many small questions — "given this
 individual's last ``seq_len`` observations, what comes next?" — against
 many small per-individual models.  Running them one by one wastes the
-very structure PR 6 exploited for training: individuals under the same
+structure the stacked trainer exploits: individuals under the same
 (model, seq_len, dtype, config) shard share every shape, so their
 forward passes stack into one ``(K, S, L, V)`` tensor driven by one
 ``(K, V, V)`` propagation operand.
 
-The engine therefore mirrors :mod:`repro.training.stacked`, forward-only:
+The engine therefore serves with :mod:`repro.training.stacked`'s
+mechanism, forward-only:
 
 * requests are micro-batched (a queue with a max batch size and a max
-  linger, like any serving stack's batching window),
+  linger, like any serving stack's batching window), and windows with
+  NaN/inf values are refused at submit time,
 * a flush groups pending requests by shard — the same grouping key the
-  stacked trainer uses for lanes — and replays the PR-6 lane forwards
-  (``_forward_lstm`` / ``_forward_tgcn`` / ``_forward_a3tgcn``) under
-  ``no_grad`` with dropout disabled, which makes every batched forecast
+  stacked trainer uses for lanes — and runs one
+  :func:`repro.nn.stack_lanes` clone of the requested individuals' solo
+  models (cached per identifier tuple) under ``no_grad`` in eval mode,
+  which makes every batched forecast
   **bitwise identical** to the individual's solo ``predict``,
 * models outside the stackable set (or shards whose stored fast-path
-  verdict says no) take the eager per-request path, and a batched
-  forward that throws falls back to per-request eager execution so one
-  poisoned request cannot take down its batch,
-* failures are per-request structured records in the PR-5
+  verdict says no, or whose graphs route sparse) take the eager
+  per-request path, and a batched forward that throws falls back to
+  per-request eager execution so one poisoned request cannot take down
+  its batch,
+* failures are per-request structured records in the
   :class:`~repro.training.faults.CellFailure` vocabulary — a timed-out
   or exploding request yields a :class:`RequestFailure`, never an
   exception that kills unrelated requests.
@@ -36,12 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import get_default_dtype, no_grad, set_default_dtype
-from ..autodiff.tensor import Tensor
-from ..nn.graphcache import cached_stacked_adjacency
+from ..autodiff import Tensor, get_default_dtype, no_grad, set_default_dtype
+from ..data.splits import require_finite
+from ..nn import Module, stack_lanes
+from ..nn.sparse import gcn_routes_sparse, get_sparse_mode
 from ..training.faults import describe_exception
-from ..training.stacked import (STACKED_MODELS, _forward_a3tgcn,
-                                _forward_lstm, _forward_tgcn)
+from ..training.stacked import STACKED_MODELS
 from .store import CohortArtifact, CohortShard
 
 __all__ = ["ForecastRequest", "ForecastResponse", "RequestFailure",
@@ -149,7 +153,7 @@ class InferenceEngine:
                     shard.model_name)
         self._pending: "list[ForecastRequest]" = []
         self._solo_cache: "dict[tuple[str, str], object]" = {}
-        self._stack_cache: "OrderedDict[tuple, OrderedDict]" = OrderedDict()
+        self._lane_cache: "OrderedDict[tuple, Module]" = OrderedDict()
         self._sparse_verdicts: "dict[tuple, bool]" = {}
         self._seq = itertools.count()
         self.stats = {"submitted": 0, "served": 0, "batched": 0,
@@ -194,6 +198,10 @@ class InferenceEngine:
                 f"window for {artifact.identifier!r} has shape "
                 f"{window.shape}; the {shard.model_name} shard expects "
                 f"{expected} (seq_len, num_variables)")
+        # A JSON null arrives as NaN: refuse it rather than serve a NaN
+        # forecast (or, for inf, a finite one from saturated gates).
+        require_finite(window, f"window for {artifact.identifier!r}",
+                       "forecasting")
         return window
 
     # ------------------------------------------------------------------
@@ -335,30 +343,20 @@ class InferenceEngine:
     def _sparse_routed(self, shard: CohortShard) -> bool:
         """Whether any of the shard's graphs routes through the CSR path.
 
-        The batched lane forward is dense-only, while a solo model routes
-        per the sparse autoswitch; mixing the two would break the
-        solo == batched bitwise contract, so such shards serve eagerly.
-        Memoized per (shard, mode): the verdict depends only on the
-        stored graphs and the process-wide sparse mode.
+        The lane model is dense-only, while a solo model routes per
+        :func:`repro.nn.sparse.gcn_routes_sparse`; mixing the two would
+        break the solo == batched bitwise contract, so such shards serve
+        eagerly.  Memoized per (shard, mode): the verdict depends only on
+        the stored graphs and the process-wide sparse mode.
         """
-        from ..nn.sparse import get_sparse_mode, should_use_sparse
-
         mode = get_sparse_mode()
-        if mode == "never":
-            return False
         key = (shard.version, shard.model_name, shard.dtype, mode)
         cached = self._sparse_verdicts.get(key)
         if cached is None:
-            cached = False
-            for artifact in shard.artifacts.values():
-                if artifact.adjacency is None:
-                    continue
-                graph = np.asarray(artifact.adjacency)
-                v = graph.shape[0]
-                nnz = np.count_nonzero((graph != 0) | np.eye(v, dtype=bool))
-                if should_use_sparse(v, nnz / (v * v), shard.dtype, mode):
-                    cached = True
-                    break
+            cached = any(
+                gcn_routes_sparse(artifact.adjacency, shard.dtype, mode)
+                for artifact in shard.artifacts.values()
+                if artifact.adjacency is not None)
             self._sparse_verdicts[key] = cached
         return cached
 
@@ -401,58 +399,31 @@ class InferenceEngine:
                 kind="exception", error_type=error_type, message=message,
                 elapsed=time.monotonic() - start)
 
-    def _stacked_params(self, shard: CohortShard,
-                        identifiers: "tuple[str, ...]") -> OrderedDict:
+    def _lane_model(self, shard: CohortShard,
+                    identifiers: "tuple[str, ...]") -> Module:
         key = (shard.version, shard.model_name, shard.dtype,
                shard.config_digest, identifiers)
-        cached = self._stack_cache.get(key)
+        cached = self._lane_cache.get(key)
         if cached is not None:
-            self._stack_cache.move_to_end(key)
+            self._lane_cache.move_to_end(key)
             return cached
-        models = [self._solo_model(shard, identifier)
-                  for identifier in identifiers]
-        per_model = [dict(model.named_parameters()) for model in models]
-        names = [name for name, _ in models[0].named_parameters()]
-        # Plain Tensors, not Parameters: Parameter casts to the default
-        # dtype on construction, and the stack must keep the stored
-        # arrays bit-for-bit.  (The default dtype is the shard dtype
-        # here anyway, but the engine should not depend on that.)
-        params = OrderedDict(
-            (name, Tensor(np.stack([pm[name].data for pm in per_model])))
-            for name in names)
-        self._stack_cache[key] = params
-        if len(self._stack_cache) > _MAX_STACK_CACHE:
-            self._stack_cache.popitem(last=False)
-        return params
+        cached = stack_lanes([self._solo_model(shard, identifier)
+                              for identifier in identifiers]).eval()
+        self._lane_cache[key] = cached
+        if len(self._lane_cache) > _MAX_STACK_CACHE:
+            self._lane_cache.popitem(last=False)
+        return cached
 
     def _run_stacked(self, shard: CohortShard,
                      requests: "list[ForecastRequest]") -> "list":
         start = time.monotonic()
-        identifiers = tuple(request.identifier for request in requests)
-        artifacts = [shard.artifacts[identifier]
-                     for identifier in identifiers]
-        models = [self._solo_model(shard, identifier)
-                  for identifier in identifiers]
-        params = self._stacked_params(shard, identifiers)
-        # (K, 1, L, V): each request is one sample in its lane.
-        inputs = np.stack([request.window[None] for request in requests])
-        hidden_size = models[0].hidden_size
+        lanes = self._lane_model(
+            shard, tuple(request.identifier for request in requests))
+        # (K, 1, L, V): each request is one sample in its lane.  The
+        # cached lane model stays in eval mode, so no per-call mode toggle.
         with no_grad():
-            if shard.model_name == "a3tgcn":
-                propagation = cached_stacked_adjacency(
-                    [artifact.adjacency for artifact in artifacts])
-                out = _forward_a3tgcn(params, propagation, inputs,
-                                      hidden_size, shard.seq_len, None)
-            elif shard.model_name == "tgcn":
-                propagation = cached_stacked_adjacency(
-                    [artifact.adjacency for artifact in artifacts])
-                out = _forward_tgcn(params, propagation, inputs,
-                                    hidden_size, shard.seq_len, None)
-            else:
-                out = _forward_lstm(params, inputs, hidden_size,
-                                    shard.seq_len,
-                                    models[0].lstm.num_layers, None)
-        data = out.data  # (K, 1, V)
+            data = lanes(Tensor(np.stack([request.window[None]
+                                          for request in requests]))).data
         elapsed = time.monotonic() - start
         self.stats["batched"] += len(requests)
         return [ForecastResponse(

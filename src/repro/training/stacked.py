@@ -5,21 +5,25 @@ training of ~20k-parameter models on a few hundred windows each.  At that
 size the per-individual loop is dominated by Python/graph overhead, not
 GEMM time: every individual pays its own autodiff graph walk, optimizer
 step and epoch loop.  This module trains ``K`` individuals *in one model*
-instead: every parameter gets a leading lane axis ``(K, *shape)``, the
-per-individual adjacencies ride along as one ``(K, V, V)`` constant stack,
-and one forward/backward/step drives all lanes at once.
+instead: :func:`repro.nn.stack_lanes` clones the ``K`` solo models into a
+lane model whose parameters carry a leading lane axis ``(K, *shape)`` and
+whose graph layers propagate over the ``(K, V, V)`` stack of the
+individuals' operators, and one forward/backward/step drives all lanes.
 
 Lane exactness, not just equivalence
 ------------------------------------
 Stacking is only usable if it is a pure scheduling choice, like the
 process pool: the paper's tables must not depend on the backend.  The
-executor therefore mirrors the solo path *operation by operation*:
+lane model runs the solo models' own (lane-generic) forwards, so it
+follows the solo path *operation by operation*:
 
-* the linear-algebra ops come from :mod:`repro.nn.stacked_ops`, which run
-  one solo-shaped GEMM per lane (same flatten, same association order)
-  and re-create the solo graph's per-use transpose nodes so gradient
+* only ``Linear``, ``GCNConv`` and ``Dropout`` run lane twins; their
+  linear algebra comes from :mod:`repro.nn.stacked_ops`, which runs one
+  solo-shaped GEMM per lane (same flatten, same association order) and
+  re-creates the solo graph's per-use transpose nodes so gradient
   *accumulation order* — bitwise visible for parameters used three or
-  more times per epoch — matches the solo graph;
+  more times per epoch — matches the solo graph, and lane ``k``'s
+  dropout mask is drawn from solo ``k``'s generator;
 * elementwise ops, reductions and losses are lane-rows of the exact solo
   expressions (a C-contiguous row reduction is bitwise the solo full
   reduction);
@@ -36,8 +40,9 @@ float tolerance should a platform's multi-axis reduction order differ.
 Eligibility and fallback
 ------------------------
 Not every cell can stack: :func:`stackable_reason` names the blocker
-(model without a stacked forward, non-Adam optimizer, exotic callbacks,
-learned-graph export, ...).  :func:`run_stacked` trains the eligible
+(model outside :data:`STACKED_MODELS`, whose forwards are lane-generic;
+non-Adam optimizer, exotic callbacks, learned-graph export, sparse-routed
+graphs, ...).  :func:`run_stacked` trains the eligible
 cells in stacks grouped by (model, seq_len, dtype, data shape, config)
 and returns the rest — plus any stack that failed or diverged — as
 *leftover* indices for the ordinary per-individual path, which keeps its
@@ -63,13 +68,12 @@ from ..analysis.hazards import (LANE_CALLBACKS as _LANE_CALLBACKS,
                                 as _STACKED_OPTIMIZER_KWARGS,
                                 STACKED_OPTIMIZERS as _STACKED_OPTIMIZERS,
                                 reason as _reason)
-from ..autodiff import (Tensor, concat, get_default_dtype, no_grad,
-                        set_default_dtype, softmax, stack, where)
+from ..autodiff import (Tensor, get_default_dtype, no_grad,
+                        set_default_dtype, where)
 from ..data.splits import split_windows
 from ..models import create_model
-from ..nn import gcn_conv_stacked, lane_affine
-from ..nn.graphcache import cached_stacked_adjacency
-from ..nn.module import Parameter
+from ..nn import stack_lanes
+from ..nn.sparse import gcn_routes_sparse
 from ..optim import StackedAdam
 from .faults import is_divergent
 from .history import TrainingHistory
@@ -113,24 +117,15 @@ def stackable_reason(cell: "CohortCell") -> str | None:
     if unsupported:
         return _reason("stack-callbacks", unsupported=unsupported)
     mode = getattr(cell, "sparse", "auto")
-    if cell.model_name != "lstm" and mode != "never":
-        # The stacked lane ops are dense-only; a cell whose graph would
-        # route through the CSR path in solo execution must stay solo, or
-        # the solo == stacked bitwise contract would compare a sparse
-        # forward against a dense one.
-        from ..nn.sparse import should_use_sparse
-
-        # Static probes (analysis.fastpath) carry no graphs: routing is
-        # then a per-cell runtime property, not a model-level blocker.
+    if cell.model_name != "lstm":
+        # The lane ops are dense-only; a cell whose graph routes its solo
+        # GCN layers through CSR must stay solo, or the solo == stacked
+        # bitwise contract would compare a sparse forward against a dense
+        # one.  Static probes (analysis.fastpath) carry no graphs: routing
+        # is then a per-cell runtime property, not a model-level blocker.
         for graph in getattr(cell, "graphs", ()):
-            if graph is None:
-                continue
-            graph = np.asarray(graph)
-            v = graph.shape[0]
-            # Zero pattern of the normalized GCN propagation operator:
-            # the graph's nonzeros plus the self-loop diagonal.
-            nnz = np.count_nonzero((graph != 0) | np.eye(v, dtype=bool))
-            if should_use_sparse(v, nnz / (v * v), cell.dtype, mode):
+            if graph is not None and gcn_routes_sparse(graph, cell.dtype,
+                                                       mode):
                 return _reason("stack-sparse", mode=mode)
     return None
 
@@ -324,131 +319,6 @@ def _clip_lane_grads(parameters: list, active: np.ndarray,
     return norms
 
 
-def _forward_a3tgcn(params: "OrderedDict[str, Parameter]",
-                    propagation: np.ndarray, inputs: np.ndarray,
-                    hidden_size: int, seq_len: int,
-                    dropout_masks: Tensor | None) -> Tensor:
-    """Stacked A3TGCN forward: ``(K, S, L, V) -> (K, S, V)``.
-
-    Lane ``k`` replays :meth:`repro.models.a3tgcn.A3TGCN.forward` (and the
-    T-GCN cell inside it) node for node; the graph-convolution stages use
-    the ``(K, V, V)`` propagation stack.
-    """
-    lanes, samples, _, nodes = inputs.shape
-    w1 = params["cell.graph_conv1.linear.weight"]
-    b1 = params["cell.graph_conv1.linear.bias"]
-    w2 = params["cell.graph_conv2.linear.weight"]
-    b2 = params["cell.graph_conv2.linear.bias"]
-    gates_w = params["cell.gates.weight"]
-    gates_b = params["cell.gates.bias"]
-    cand_w = params["cell.candidate.weight"]
-    cand_b = params["cell.candidate.bias"]
-    hidden = Tensor(np.zeros((lanes, samples, nodes, hidden_size),
-                             dtype=inputs.dtype))
-    states = []
-    for t in range(seq_len):
-        step = Tensor(inputs[:, :, t, :].reshape(lanes, samples, nodes, 1))
-        gc = gcn_conv_stacked(
-            propagation,
-            gcn_conv_stacked(propagation, step, w1, b1).relu(), w2, b2)
-        combined = concat([gc, hidden], axis=-1)
-        gates = lane_affine(combined, gates_w, gates_b).sigmoid()
-        update = gates[..., :hidden_size]
-        reset = gates[..., hidden_size:]
-        candidate = lane_affine(concat([gc, reset * hidden], axis=-1),
-                                cand_w, cand_b).tanh()
-        hidden = update * hidden + (1.0 - update) * candidate
-        states.append(hidden)
-    if len(states) == 1:
-        context = states[0]
-    else:
-        sequence = stack(states, axis=2)
-        weights = softmax(params["attention"], axis=1).reshape(
-            lanes, 1, seq_len, 1, 1)
-        context = (sequence * weights).sum(axis=2)
-    if dropout_masks is not None:
-        context = context * dropout_masks
-    out = lane_affine(context, params["head.weight"], params["head.bias"])
-    return out.reshape(lanes, samples, nodes)
-
-
-def _forward_tgcn(params: "OrderedDict[str, Parameter]",
-                  propagation: np.ndarray, inputs: np.ndarray,
-                  hidden_size: int, seq_len: int,
-                  dropout_masks: Tensor | None) -> Tensor:
-    """Stacked T-GCN forward: ``(K, S, L, V) -> (K, S, V)``.
-
-    Lane ``k`` replays :meth:`repro.models.tgcn.TGCNForecaster.forward` —
-    the A3TGCN recurrence without the temporal attention: the final
-    hidden state is the context.
-    """
-    lanes, samples, _, nodes = inputs.shape
-    w1 = params["cell.graph_conv1.linear.weight"]
-    b1 = params["cell.graph_conv1.linear.bias"]
-    w2 = params["cell.graph_conv2.linear.weight"]
-    b2 = params["cell.graph_conv2.linear.bias"]
-    gates_w = params["cell.gates.weight"]
-    gates_b = params["cell.gates.bias"]
-    cand_w = params["cell.candidate.weight"]
-    cand_b = params["cell.candidate.bias"]
-    hidden = Tensor(np.zeros((lanes, samples, nodes, hidden_size),
-                             dtype=inputs.dtype))
-    for t in range(seq_len):
-        step = Tensor(inputs[:, :, t, :].reshape(lanes, samples, nodes, 1))
-        gc = gcn_conv_stacked(
-            propagation,
-            gcn_conv_stacked(propagation, step, w1, b1).relu(), w2, b2)
-        combined = concat([gc, hidden], axis=-1)
-        gates = lane_affine(combined, gates_w, gates_b).sigmoid()
-        update = gates[..., :hidden_size]
-        reset = gates[..., hidden_size:]
-        candidate = lane_affine(concat([gc, reset * hidden], axis=-1),
-                                cand_w, cand_b).tanh()
-        hidden = update * hidden + (1.0 - update) * candidate
-    context = hidden
-    if dropout_masks is not None:
-        context = context * dropout_masks
-    out = lane_affine(context, params["head.weight"], params["head.bias"])
-    return out.reshape(lanes, samples, nodes)
-
-
-def _forward_lstm(params: "OrderedDict[str, Parameter]", inputs: np.ndarray,
-                  hidden_size: int, seq_len: int, num_layers: int,
-                  dropout_masks: Tensor | None) -> Tensor:
-    """Stacked LSTM forward: ``(K, S, L, V) -> (K, S, V)``.
-
-    Lane ``k`` replays :class:`repro.models.lstm.LSTMForecaster` — the
-    per-step :class:`~repro.nn.recurrent.LSTMCell` gate math and the final
-    hidden-state head.  The solo model's stacked-outputs return value is
-    unused by the forecaster, so it is not materialized here.
-    """
-    lanes, samples = inputs.shape[0], inputs.shape[1]
-    layer_input = [Tensor(inputs[:, :, t, :]) for t in range(seq_len)]
-    hidden: Tensor | None = None
-    for layer in range(num_layers):
-        gates_w = params[f"lstm.cells.{layer}.gates.weight"]
-        gates_b = params[f"lstm.cells.{layer}.gates.bias"]
-        zeros = np.zeros((lanes, samples, hidden_size), dtype=inputs.dtype)
-        h = Tensor(zeros.copy())
-        c = Tensor(zeros.copy())
-        outputs = []
-        for step_x in layer_input:
-            z = lane_affine(concat([step_x, h], axis=-1), gates_w, gates_b)
-            hs = hidden_size
-            i = z[..., 0 * hs:1 * hs].sigmoid()
-            f = z[..., 1 * hs:2 * hs].sigmoid()
-            g = z[..., 2 * hs:3 * hs].tanh()
-            o = z[..., 3 * hs:4 * hs].sigmoid()
-            c = f * c + i * g
-            h = o * c.tanh()
-            outputs.append(h)
-        layer_input = outputs
-        hidden = h
-    if dropout_masks is not None:
-        hidden = hidden * dropout_masks
-    return lane_affine(hidden, params["head.weight"], params["head.bias"])
-
-
 def _execute_stack(lanes: list[_Lane],
                    resolved: TrainerConfig) -> list[tuple]:
     """Train one stack of lanes; returns ``(result, needs_solo_rerun)``.
@@ -470,9 +340,6 @@ def _execute_stack(lanes: list[_Lane],
 
     splits = [split_windows(lane.cell.individual.values, seq_len,
                             lane.cell.train_fraction) for lane in lanes]
-    samples = splits[0].train.inputs.shape[0]
-    if any(split.train.inputs.shape[0] != samples for split in splits):
-        raise ValueError("stacked lanes disagree on window counts")
 
     # Solo models are retained: they provide the per-lane initial
     # parameters, the per-lane dropout RNG streams, and the evaluation
@@ -480,54 +347,12 @@ def _execute_stack(lanes: list[_Lane],
     models = [create_model(model_name, nodes, seq_len, adjacency=lane.graph,
                            config=lane.cell.model_config, seed=lane.seed)
               for lane in lanes]
-    per_model = [dict(model.named_parameters()) for model in models]
-    names = [name for name, _ in models[0].named_parameters()]
-    params: "OrderedDict[str, Parameter]" = OrderedDict(
-        (name, Parameter(np.stack([pm[name].data for pm in per_model])))
-        for name in names)
+    stacked = stack_lanes(models).train()
+    params = OrderedDict(stacked.named_parameters())
     param_list = list(params.values())
 
-    propagation = None
-    if model_name in ("a3tgcn", "tgcn"):
-        propagation = cached_stacked_adjacency(
-            [lane.graph for lane in lanes])
-
-    hidden_size = models[0].hidden_size
-    dropout_p = models[0].dropout.p
-    if model_name in ("a3tgcn", "tgcn"):
-        mask_shape = (samples, nodes, hidden_size)
-    else:
-        mask_shape = (samples, hidden_size)
-
-    def draw_dropout_masks() -> np.ndarray | None:
-        if dropout_p == 0.0:
-            return None
-        keep = 1.0 - dropout_p
-        # Lane k consumes exactly the random stream its solo fit would:
-        # one solo-shaped draw per epoch from the model's own generator.
-        return np.stack([
-            ((model.dropout.rng.random(mask_shape) < keep) / keep)
-            .astype(dtype) for model in models])
-
-    inputs = np.stack([s.train.inputs.astype(dtype) for s in splits])
+    inputs = Tensor(np.stack([s.train.inputs.astype(dtype) for s in splits]))
     targets = np.stack([s.train.targets.astype(dtype) for s in splits])
-
-    def forward() -> Tensor:
-        drawn = draw_dropout_masks()
-        masks = None
-        if drawn is not None:
-            masks = Tensor(drawn)
-            # Replay refills this buffer from the provider each epoch, so
-            # each lane's solo RNG stream advances exactly as in eager mode.
-            masks._trace_src = ("volatile", draw_dropout_masks)
-        if model_name == "a3tgcn":
-            return _forward_a3tgcn(params, propagation, inputs, hidden_size,
-                                   seq_len, masks)
-        if model_name == "tgcn":
-            return _forward_tgcn(params, propagation, inputs, hidden_size,
-                                 seq_len, masks)
-        return _forward_lstm(params, inputs, hidden_size, seq_len,
-                             models[0].lstm.num_layers, masks)
 
     def snapshot(lane: int) -> "OrderedDict[str, np.ndarray]":
         return OrderedDict((name, param.data[lane].copy())
@@ -587,7 +412,7 @@ def _execute_stack(lanes: list[_Lane],
             capture = jit.capture() if jit is not None \
                 else contextlib.nullcontext()
             with capture:
-                lane_loss = _lane_losses(forward(), targets, loss_name)
+                lane_loss = _lane_losses(stacked(inputs), targets, loss_name)
                 masked = where(cond, lane_loss,
                                Tensor(np.zeros(num_lanes,
                                                dtype=lane_loss.data.dtype)))
@@ -639,7 +464,8 @@ def _execute_stack(lanes: list[_Lane],
     outcomes = []
     for k, lane in enumerate(lanes):
         model = models[k]
-        model.load_state_dict({name: params[name].data[k] for name in names})
+        model.load_state_dict({name: param.data[k]
+                               for name, param in params.items()})
         histories[k].stop_reason = states[k].stop_reason
         test_mse = trainer.evaluate(model, splits[k].test)
         train_mse = trainer.evaluate(model, splits[k].train)

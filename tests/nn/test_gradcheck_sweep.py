@@ -281,12 +281,6 @@ def _huber_loss():
     return lambda *ts: module(ts[0], target), [pred]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_layer_gradients(name):
-    func, tensors = CASES[name]()
-    check_gradients(func, tensors, atol=1e-6, rtol=1e-5)
-
-
 def _lane_operator(rng, lanes, nodes):
     """A well-conditioned constant (K, V, V) propagation stack."""
     ops = rng.standard_normal((lanes, nodes, nodes)) / nodes
@@ -327,30 +321,14 @@ def _lane_propagate():
     return lambda *ts: nn.lane_propagate(operator, ts[0]).sum(), [x]
 
 
-@case("gcn_conv_stacked")
-def _gcn_conv_stacked():
+@case("stack_lanes")
+def _stack_lanes():
     rng = _rng()
-    propagation = _lane_operator(rng, 2, 4)
+    adjacency = _test_adjacency(rng)
+    convs = [nn.GCNConv(2, 5, adjacency=adjacency, rng=rng) for _ in range(2)]
+    module = nn.stack_lanes(convs)
     x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
-    weight = Tensor(rng.standard_normal((2, 5, 2)), requires_grad=True)
-    bias = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-    return (lambda *ts: nn.gcn_conv_stacked(propagation, ts[0], ts[1],
-                                            ts[2]).sum(),
-            [x, weight, bias])
-
-
-@case("cheb_conv_stacked")
-def _cheb_conv_stacked():
-    rng = _rng()
-    basis = tuple(_lane_operator(rng, 2, 4) for _ in range(3))
-    x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
-    weights = [Tensor(rng.standard_normal((2, 5, 2)), requires_grad=True)
-               for _ in range(3)]
-    bias = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-    return (lambda *ts: nn.cheb_conv_stacked(
-                basis, ts[0], list(ts[1:4]),
-                [ts[4], None, None]).sum(),
-            [x, *weights, bias])
+    return lambda *ts: module(ts[0]).sum(), [x, *_params(module)]
 
 
 #: Exports that are not layers (helpers, base classes, the init module).
@@ -358,8 +336,21 @@ NON_LAYER_EXPORTS = {"Module", "Parameter", "init", "scaled_laplacian",
                      "BATCHED_LANES"}
 
 
+# Parametrized only here, after every @case above has registered: the ids
+# are fixed when the decorator runs.
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_layer_gradients(name):
+    func, tensors = CASES[name]()
+    check_gradients(func, tensors, atol=1e-6, rtol=1e-5)
+
+
 def test_sweep_covers_every_export():
+    (mark,) = [mark for mark in test_layer_gradients.pytestmark
+               if mark.name == "parametrize"]
+    running = set(mark.args[1])
+    assert running == set(CASES), (
+        f"registered cases that never run: {sorted(set(CASES) - running)}")
     layers = set(nn.__all__) - NON_LAYER_EXPORTS
-    missing = layers - set(CASES)
+    missing = layers - running
     assert not missing, (
         f"repro.nn exports without a gradcheck case: {sorted(missing)}")

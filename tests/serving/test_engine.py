@@ -117,6 +117,28 @@ class TestFailures:
         assert isinstance(outcomes[0], RequestFailure)
         assert "expects" in outcomes[0].message
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_fails_immediately(self, bad):
+        # Before the check, NaN gave an all-NaN batched forecast and inf a
+        # finite one from saturated LSTM gates.
+        engine, _, _ = engine_for("lstm", count=3)
+        window = np.zeros((L, V))
+        window[L - 1, 2] = bad
+        outcomes = engine.submit("p0", window)
+        assert isinstance(outcomes[0], RequestFailure)
+        assert (outcomes[0].kind, outcomes[0].error_type) == \
+            ("exception", "ValueError")
+        assert f"1 non-finite value(s), first in row {L - 1}" in \
+            outcomes[0].message
+        assert engine.flush() == []  # never enqueued
+
+    def test_sync_forecast_raises_on_null_in_window(self):
+        engine, _, _ = engine_for("lstm", count=2)
+        window = np.zeros((L, V)).tolist()
+        window[0][1] = None  # what a JSON null decodes to
+        with pytest.raises(ValueError, match="non-finite"):
+            engine.forecast("p0", window)
+
     def test_expired_deadline_becomes_timeout_failure(self):
         engine, _, _ = engine_for("lstm", count=3, max_batch_size=10)
         engine.submit("p0", timeout=1e-9)

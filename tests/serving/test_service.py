@@ -79,6 +79,19 @@ class TestForecastService:
         np.testing.assert_array_equal(
             np.asarray(results[0]["prediction"]), expected)
 
+    def test_null_in_window_is_failure_object(self, store_dir):
+        service = ForecastService(store_dir)
+        window = np.zeros((L, V)).tolist()
+        window[1][0] = None
+        results = service.run([
+            json.dumps({"id": "bad", "individual": "p0", "window": window}),
+            json.dumps({"id": "good", "individual": "p1"})])
+        by_id = {result["id"]: result for result in results}
+        assert by_id["bad"]["ok"] is False
+        assert by_id["bad"]["kind"] == "exception"
+        assert "non-finite value(s), first in row 1" in by_id["bad"]["message"]
+        assert by_id["good"]["ok"] is True
+
     def test_outcome_to_dict_is_json_ready(self, store_dir):
         service = ForecastService(store_dir)
         outcomes = service.engine.submit("p0") + service.engine.flush()

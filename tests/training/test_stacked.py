@@ -412,3 +412,78 @@ class TestLaneOps:
             np.testing.assert_array_equal(xs.grad[k], xk.grad)
             np.testing.assert_array_equal(ws.grad[k], wk.grad)
             np.testing.assert_array_equal(bs.grad[k], bk.grad)
+
+
+class TestStackLanes:
+    """``repro.nn.stack_lanes`` directly, outside the cohort scheduler."""
+
+    def test_two_layer_lstm_lanes_match_solos_bitwise(self):
+        # The registry builds one LSTM layer, so the cohort tests never
+        # stack a deeper one: check the layer loop, the gradients and the
+        # per-lane dropout streams here, in train mode.
+        from repro.autodiff import Tensor
+        from repro.models.lstm import LSTMForecaster
+        from repro.nn import stack_lanes
+
+        lanes, samples, seq_len, nodes = 3, 4, 3, 5
+
+        def build(seed):
+            return LSTMForecaster(nodes, seq_len, hidden_size=6, num_layers=2,
+                                  dropout=0.3,
+                                  rng=np.random.default_rng(seed))
+
+        inputs = np.random.default_rng(0).normal(
+            size=(lanes, samples, seq_len, nodes)).astype(np.float32)
+        stacked = stack_lanes([build(seed) for seed in range(lanes)])
+        assert stacked.training and stacked.dropout.p == 0.3
+        out = stacked(Tensor(inputs))
+        (out * out).sum().backward()
+        lane_grads = {name: p.grad for name, p in stacked.named_parameters()}
+        assert len(lane_grads) == 6
+        for k in range(lanes):
+            solo = build(k)
+            solo_out = solo(Tensor(inputs[k]))
+            (solo_out * solo_out).sum().backward()
+            np.testing.assert_array_equal(out.data[k], solo_out.data)
+            for name, param in solo.named_parameters():
+                np.testing.assert_array_equal(lane_grads[name][k], param.grad)
+
+    def test_attribute_without_lane_form_is_named(self):
+        from repro.models import create_model
+        from repro.nn import stack_lanes
+
+        adjacency = np.ones((4, 4))
+        models = [create_model("astgcn", 4, 3, adjacency=adjacency,
+                               config=FAST_MODEL, seed=seed)
+                  for seed in range(2)]
+        with pytest.raises(TypeError, match=r"cheb\._basis .*no lane form"):
+            stack_lanes(models)
+
+    def test_sparse_routed_gcn_conv_is_refused(self):
+        from repro.nn import GCNConv, stack_lanes
+        from repro.nn.sparse import set_sparse_mode
+
+        set_sparse_mode("always")   # conftest restores the session mode
+        adjacency = np.ones((4, 4))
+        convs = [GCNConv(2, 3, adjacency, rng=np.random.default_rng(seed))
+                 for seed in range(2)]
+        assert convs[0]._sparse is not None
+        with pytest.raises(TypeError, match="sparse-routed"):
+            stack_lanes(convs)
+
+    def test_only_lane_clones_accept_a_lane_axis(self):
+        from repro.autodiff import Tensor
+        from repro.models import create_model
+        from repro.nn import stack_lanes
+
+        models = [create_model("lstm", 5, 2, config=FAST_MODEL, seed=seed)
+                  for seed in range(2)]
+        batch = Tensor(np.zeros((2, 4, 2, 5)))
+        with pytest.raises(ValueError, match="expects"):
+            models[0](batch)
+        stacked = stack_lanes(models)
+        assert stacked(batch).shape == (2, 4, 5)
+        with pytest.raises(ValueError, match="2 lanes"):
+            stacked(Tensor(np.zeros((4, 2, 5))))
+        with pytest.raises(ValueError, match="2 lanes"):
+            stacked(Tensor(np.zeros((3, 4, 2, 5))))
