@@ -1,7 +1,7 @@
 """Fast-path eligibility verdicts for every registered model.
 
 For each :data:`~repro.models.registry.MODEL_REGISTRY` entry this module
-decides, on a throwaway probe model and without running a fit,
+decides, on throwaway probe models and without running a fit,
 
 * **traceable**: would the trace-capture JIT replay this architecture?
   Decided by the JIT itself: two epochs of a probe model's forward+loss
@@ -12,7 +12,10 @@ decides, on a throwaway probe model and without running a fit,
   :mod:`repro.analysis.hazards` catalogue.
 * **stackable**: does the cross-individual stacked backend accept it?
   Decided by the runtime's own
-  :func:`repro.training.stacked.stackable_reason` over a synthetic cell.
+  :func:`repro.training.stacked.stackable_reason` over a synthetic cell,
+  whose architecture check is :func:`lane_blocker`: two probe models are
+  cloned by :func:`repro.nn.stack_lanes`, and the lane forward must be
+  bitwise the stack of the solo forwards.
 
 Both halves therefore come from the code that takes the fast path at
 runtime, so the verdicts cannot drift from it.  ``ema-gnn check`` renders
@@ -23,7 +26,7 @@ falling off a fast path) fails the build; and
 to pre-route cells — blocked models skip the wasted JIT capture epochs,
 with the probe's reason attached to their results.
 
-The probe runs outside :class:`~repro.training.trainer.Trainer` (no
+The probes run outside :class:`~repro.training.trainer.Trainer` (no
 optimizer, no :class:`~repro.training.history.TrainingHistory`), at a
 small fixed geometry; two window lengths are swept because seq_len = 1
 changes model structure (A3TGCN skips its period attention).
@@ -32,7 +35,7 @@ changes model structure (A3TGCN skips its period attention).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,6 +44,8 @@ import numpy as np
 from ..autodiff.tensor import Tensor, get_default_dtype, no_grad
 from ..autodiff.trace import EpochJIT
 from ..models import MODEL_REGISTRY, ModelConfig, create_model
+from ..nn import stack_lanes
+from ..nn.sparse import get_sparse_mode, set_sparse_mode
 from ..training.personalized import resolve_trainer_config
 from ..training.stacked import stackable_reason
 from ..training.trainer import LOSSES
@@ -49,9 +54,10 @@ from . import hazards as _hazards
 __all__ = ["HazardHit", "ModelVerdict", "PROBE_BATCH", "PROBE_SEQ_LENS",
            "PROBE_VARIABLES", "analyze_model", "check_registry",
            "probe_adjacency", "baseline_summary", "load_baseline",
-           "diff_baseline", "write_baseline", "registry_verdict"]
+           "diff_baseline", "write_baseline", "registry_verdict",
+           "lane_blocker"]
 
-#: Probe geometry for the JIT probe (values are arbitrary but fixed).
+#: Probe geometry for the JIT and lane probes (arbitrary but fixed).
 PROBE_BATCH = 7
 PROBE_VARIABLES = 6
 PROBE_SEQ_LENS = (1, 5)
@@ -75,11 +81,10 @@ class HazardHit:
     """Why the trace JIT refused a model: a catalogued hazard."""
 
     key: str
-    code: str
     message: str
 
     def to_dict(self) -> dict:
-        return {"key": self.key, "code": self.code, "message": self.message}
+        return {"key": self.key, "message": self.message}
 
 
 @dataclass(frozen=True)
@@ -179,17 +184,13 @@ def analyze_model(name: str, *, trainer_config=None,
         raise ValueError(f"unknown model {name!r}; expected one of "
                          f"{tuple(MODEL_REGISTRY)}")
     resolved = resolve_trainer_config(name, trainer_config)
-    cell = SimpleNamespace(model_name=name,
-                           export_learned_graph=export_learned_graph,
-                           trainer_config=trainer_config)
-    blocker = stackable_reason(cell)
-    stack_blockers = (blocker,) if blocker else ()
+    stack_blockers = _stack_blockers(name, trainer_config,
+                                     export_learned_graph)
 
     if spec.family != "gradient":
         # Closed-form fits never run the epoch Trainer: there is no tape
         # to capture, which the catalogue keys as an empty tape.
-        hit = HazardHit("empty-tape", _hazards.hazard_code("empty-tape"),
-                        _hazards.reason("empty-tape")
+        hit = HazardHit("empty-tape", _hazards.reason("empty-tape")
                         + f" — {name!r} fits closed-form, no epoch loop")
         return ModelVerdict(name, spec.family, traceable=False,
                             stackable=not stack_blockers,
@@ -209,14 +210,23 @@ def analyze_model(name: str, *, trainer_config=None,
                      "is anomaly detection enabled?")
         else:
             key = _hazards.match_reason(jit.disabled_reason)
-            hazards = (HazardHit(key, _hazards.hazard_code(key),
-                                 jit.disabled_reason),)
+            hazards = (HazardHit(key, jit.disabled_reason),)
         break
     return ModelVerdict(name, spec.family,
                         traceable=not hazards and error is None,
                         stackable=not stack_blockers,
                         hazards=hazards, stack_blockers=stack_blockers,
                         error=error)
+
+
+def _stack_blockers(name: str, trainer_config,
+                    export_learned_graph: bool = False) -> tuple[str, ...]:
+    """The runtime stacking check over a synthetic cell (no graphs)."""
+    cell = SimpleNamespace(model_name=name,
+                           export_learned_graph=export_learned_graph,
+                           trainer_config=trainer_config)
+    blocker = stackable_reason(cell)
+    return (blocker,) if blocker else ()
 
 
 def check_registry(*, trainer_config=None,
@@ -235,12 +245,15 @@ _VERDICT_CACHE: dict[tuple, ModelVerdict] = {}
 
 
 def registry_verdict(name: str, trainer_config=None) -> ModelVerdict:
-    """Memoized :func:`analyze_model` keyed by (model, resolved loss).
+    """:func:`analyze_model` with its trace half memoized.
 
     The loss function is the only trainer knob that changes the traced
-    op stream (``huber`` records a data-dependent ``where``), so one
-    probe per (architecture, loss) serves every cell.  A verdict whose
-    probe could not decide (``error`` set) is returned but not cached.
+    op stream (``huber`` records a data-dependent ``where``), so one JIT
+    probe per (architecture, resolved loss) serves every cell.  The stack
+    half also depends on the optimizer, its kwargs and the callbacks, so
+    it is recomputed on every call (cheap: :func:`lane_blocker` is
+    memoized).  A verdict whose probe could not decide (``error`` set)
+    is returned but not cached.
     """
     resolved = resolve_trainer_config(name, trainer_config)
     key = (name, resolved.loss)
@@ -249,7 +262,69 @@ def registry_verdict(name: str, trainer_config=None) -> ModelVerdict:
         verdict = analyze_model(name, trainer_config=trainer_config)
         if verdict.error is None:
             _VERDICT_CACHE[key] = verdict
+        return verdict
+    blockers = _stack_blockers(name, trainer_config)
+    if blockers != verdict.stack_blockers:
+        verdict = replace(verdict, stackable=not blockers,
+                          stack_blockers=blockers)
     return verdict
+
+
+# ---------------------------------------------------------------------------
+# Lane probe: the one architecture check for stacking and batched serving.
+# ---------------------------------------------------------------------------
+_LANE_BLOCKERS: dict[tuple[str, str], str | None] = {}
+
+
+def lane_blocker(model_name: str) -> str | None:
+    """Why ``model_name`` has no lane form, or ``None`` if it stacks.
+
+    Two seeded probe models per :data:`PROBE_SEQ_LENS` entry are cloned by
+    :func:`repro.nn.stack_lanes`, and the clone runs one eval-mode forward
+    of a ``(2, B, L, V)`` input in the default dtype.  The model stacks
+    only if that output is bitwise ``np.stack`` of the two solo outputs;
+    otherwise the ``stack-no-forward`` reason names the error or the
+    mismatch.  Memoized per (model, dtype).  Routing stays dense: sparse
+    routing is a per-cell property :func:`stackable_reason` checks.
+    """
+    key = (model_name, np.dtype(get_default_dtype()).name)
+    if key not in _LANE_BLOCKERS:
+        try:
+            detail = _lane_mismatch(model_name)
+        except Exception as error:  # noqa: BLE001 - any failure blocks
+            detail = str(error) or type(error).__name__
+        _LANE_BLOCKERS[key] = None if detail is None else _hazards.reason(
+            "stack-no-forward", model=model_name, detail=detail)
+    return _LANE_BLOCKERS[key]
+
+
+def _lane_mismatch(name: str) -> str | None:
+    """Run the lane probe; ``None`` when every lane equals its solo."""
+    if name not in MODEL_REGISTRY:
+        return "not a registered model"
+    rng = np.random.default_rng(0)
+    dtype = get_default_dtype()
+    previous = get_sparse_mode()
+    set_sparse_mode("never")
+    try:
+        for seq_len in PROBE_SEQ_LENS:
+            solos = [create_model(name, PROBE_VARIABLES, seq_len,
+                                  adjacency=probe_adjacency(),
+                                  config=PROBE_CONFIG, seed=seed).eval()
+                     for seed in (0, 1)]
+            inputs = rng.normal(size=(2, PROBE_BATCH, seq_len,
+                                      PROBE_VARIABLES)).astype(dtype)
+            lanes = stack_lanes(solos).eval()
+            with no_grad():
+                expected = np.stack([solo(Tensor(x)).data
+                                     for solo, x in zip(solos, inputs)])
+                actual = lanes(Tensor(inputs)).data
+            if (actual.dtype, actual.shape, actual.tobytes()) != \
+                    (expected.dtype, expected.shape, expected.tobytes()):
+                return "lane outputs differ from solo outputs"
+    finally:
+        set_sparse_mode(previous)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +349,7 @@ def baseline_summary(verdicts) -> dict:
             "family": verdict.family,
             "traceable": verdict.traceable,
             "stackable": verdict.stackable,
-            "hazards": sorted(
-                f"{h.code}:{h.key}" for h in verdict.hazards),
+            "hazards": sorted(h.key for h in verdict.hazards),
             "stack_blockers": blocker_keys,
         }
     return {"version": 1, "models": models}

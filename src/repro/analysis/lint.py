@@ -29,9 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 from typing import Callable, Iterable, Iterator
 
-from .hazards import (STACKED_LOSSES, STACKED_OPTIMIZERS,
-                      UNREPLAYABLE_TENSOR_METHODS)
-
 __all__ = ["Finding", "FileContext", "RULES", "lint_source", "lint_file",
            "lint_paths", "render_rule_table"]
 
@@ -388,224 +385,6 @@ def _check_bare_except(ctx: FileContext) -> Iterator[Finding]:
                 node, "REPRO006",
                 "bare except: catches SystemExit/KeyboardInterrupt and "
                 "hides bugs; name the exception types")
-
-
-# ----------------------------------------------------------------------
-# REPRO007–REPRO011 — trace-capture JIT hazards
-#
-# AST mirrors of the runtime ``TraceInvalid`` hazard families catalogued
-# in :mod:`repro.analysis.hazards`.  The lint rules are deliberately
-# heuristic — they flag the *patterns* at review time; ``ema-gnn check``
-# renders the per-model verdicts the trace JIT itself reaches.  Intentional
-# uses (documented fallbacks) carry justified noqa comments.
-# ----------------------------------------------------------------------
-
-def _contains_dot_data(node: ast.AST) -> bool:
-    return any(isinstance(sub, ast.Attribute) and sub.attr == "data"
-               for sub in ast.walk(node))
-
-
-@_rule("REPRO007", "data-dependent where() condition (not JIT-replayable)")
-def _check_where_data_dependent(ctx: FileContext) -> Iterator[Finding]:
-    """A ``where`` whose condition reads activation values blocks replay.
-
-    The trace-capture JIT replays a fixed op tape; a condition computed
-    from ``.data`` (or an inline comparison) changes between epochs, so
-    capture refuses the graph (hazard ``where-data-dependent``).  Library
-    code that accepts falling back to the eager loop (ELU, Huber) says so
-    with a justified noqa.
-    """
-    if not ctx.is_library:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) or not node.args:
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            func.attr if isinstance(func, ast.Attribute) else None
-        if name != "where":
-            continue
-        chain = _attr_chain(func)
-        if chain and chain[0] in ("np", "numpy"):
-            # np.where on plain arrays is outside the traced surface.
-            continue
-        condition = node.args[0]
-        if isinstance(condition, ast.Compare) \
-                or _contains_dot_data(condition):
-            yield ctx.finding(
-                node, "REPRO007",
-                "where() condition is computed from tensor values; the "
-                "trace-capture JIT cannot replay it (hazard "
-                "where-data-dependent) — fits fall back to the eager loop")
-
-
-_FANCY_INDEX_SOURCES = frozenset({"argsort", "argpartition", "nonzero"})
-
-
-@_rule("REPRO008", "fancy Tensor indexing (not JIT-replayable)")
-def _check_fancy_indexing(ctx: FileContext) -> Iterator[Finding]:
-    """Integer-array subscripts pick data-dependent elements.
-
-    ``x[argsort(...)]`` / ``x[[0, 2]]`` gathers by an index array the
-    replay plan cannot re-derive (hazard ``getitem-fancy``); basic slices
-    are fine.  Scoped to layer/model code, where subscripts run under the
-    trace hook.
-    """
-    if not ctx.dtype_scoped:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Subscript):
-            continue
-        for sub in ast.walk(node.slice):
-            if isinstance(sub, ast.List) or (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, (ast.Name, ast.Attribute))
-                    and (sub.func.attr if isinstance(sub.func, ast.Attribute)
-                         else sub.func.id) in _FANCY_INDEX_SOURCES):
-                yield ctx.finding(
-                    node, "REPRO008",
-                    "subscript uses an index array (fancy indexing); the "
-                    "trace-capture JIT cannot replay the gather (hazard "
-                    "getitem-fancy) — use basic slices, or mask + multiply")
-                break
-
-
-def _is_flattening_call(node: ast.expr) -> bool:
-    """``x.reshape(-1)`` / ``x.flatten()`` / ``x.ravel()`` expressions."""
-    if not isinstance(node, ast.Call) or \
-            not isinstance(node.func, ast.Attribute):
-        return False
-    name = node.func.attr
-    if name in ("flatten", "ravel"):
-        return True
-    return name == "reshape" and len(node.args) == 1 and \
-        isinstance(node.args[0], ast.UnaryOp) and \
-        isinstance(node.args[0].op, ast.USub) and \
-        isinstance(node.args[0].operand, ast.Constant) and \
-        node.args[0].operand.value == 1
-
-
-@_rule("REPRO009", "matmul with a flattened (1-D) operand")
-def _check_matmul_1d(ctx: FileContext) -> Iterator[Finding]:
-    """``@`` with a 1-D operand has no replay rule.
-
-    numpy's matmul prepends/appends singleton axes for 1-D operands and
-    strips them from the result, so the replay plan cannot rebuild the
-    backward contraction (hazard ``matmul-1d``).  The AST can only see
-    *syntactically* 1-D operands — ``.reshape(-1)`` / ``.flatten()``
-    results; 1-D parameters are caught by ``ema-gnn check``.
-    """
-    if not ctx.dtype_scoped:
-        return
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
-                and (_is_flattening_call(node.left)
-                     or _is_flattening_call(node.right)):
-            yield ctx.finding(
-                node, "REPRO009",
-                "matmul with a flattened operand is 1-D; the trace-capture "
-                "JIT has no replay rule for it (hazard matmul-1d) — keep a "
-                "trailing axis and reshape after the product")
-
-
-@_rule("REPRO010", "Tensor method without a JIT replay rule")
-def _check_unreplayable_method(ctx: FileContext) -> Iterator[Finding]:
-    """Some recorded ops are outside the replay-rule table.
-
-    ``clip``/``max``/``pad_last``/``unfold_last`` record backward
-    closures the fuser has no rule for (hazard ``op-unsupported``), so a
-    forward that reaches them disables the JIT for that fit.  numpy-level
-    uses (scalar statistics on plain arrays) and accepted fallbacks carry
-    justified noqa comments.
-    """
-    if not ctx.dtype_scoped:
-        return
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in UNREPLAYABLE_TENSOR_METHODS:
-            chain = _attr_chain(node.func)
-            if chain and chain[0] in ("np", "numpy"):
-                continue
-            yield ctx.finding(
-                node, "REPRO010",
-                f"Tensor.{node.func.attr}() has no JIT replay rule (hazard "
-                "op-unsupported); fits that trace it fall back to the "
-                "eager loop")
-
-
-@_rule("REPRO011", "constant Tensor rebuilt inside forward()")
-def _check_forward_constant(ctx: FileContext) -> Iterator[Finding]:
-    """Per-forward ``Tensor(...)`` constants destabilize trace capture.
-
-    The JIT snapshots constant inputs at capture and verifies them next
-    epoch; a constant rebuilt from training-dependent values (a top-k
-    mask, a normalized learned graph) changes and invalidates the trace
-    (hazards ``const-value-changed`` / ``wiring-changed``).  Hoist truly
-    static constants to ``__init__``, or route derived ones through an
-    annotated provider (``repro.autodiff.trace``) so capture knows their
-    lifecycle; accepted fallbacks carry a justified noqa.
-    """
-    if not ctx.dtype_scoped:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.FunctionDef) or node.name != "forward":
-            continue
-        if any(isinstance(sub, ast.Attribute) and sub.attr == "_trace_src"
-               and isinstance(sub.ctx, ast.Store)
-               for sub in ast.walk(node)):
-            # The forward annotates its constants' trace lifecycle
-            # (e.g. dropout's volatile mask) — capture handles them.
-            continue
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) \
-                    and isinstance(sub.func, ast.Name) \
-                    and sub.func.id == "Tensor":
-                yield ctx.finding(
-                    sub, "REPRO011",
-                    "Tensor(...) constructed inside forward(): the JIT "
-                    "snapshots constants at capture, and a rebuilt value "
-                    "that drifts invalidates the trace (hazard "
-                    "const-value-changed) — hoist to __init__ or use an "
-                    "annotated provider")
-
-
-# ----------------------------------------------------------------------
-# REPRO012 — trainer configs that fall off the stacked fast path
-# ----------------------------------------------------------------------
-
-@_rule("REPRO012", "TrainerConfig outside the stacked backend's support")
-def _check_stack_eligibility(ctx: FileContext) -> Iterator[Finding]:
-    """Literal optimizer/loss choices the stacked backend cannot lane-split.
-
-    ``backend="stacked"`` trains whole cohorts in one parameter stack but
-    only for the optimizers/losses with lane-wise implementations
-    (:mod:`repro.analysis.hazards` tables, REPRO012 hazards); anything
-    else silently routes every cell through the slower per-individual
-    path.  Library code declaring such a config gets a review-time nudge;
-    tests probe ineligible configs on purpose and are exempt.
-    """
-    if not ctx.is_library:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Call) \
-                or not isinstance(node.func, ast.Name) \
-                or node.func.id != "TrainerConfig":
-            continue
-        for kw in node.keywords:
-            if kw.arg not in ("optimizer", "loss") \
-                    or not isinstance(kw.value, ast.Constant) \
-                    or not isinstance(kw.value.value, str):
-                continue
-            supported = STACKED_OPTIMIZERS if kw.arg == "optimizer" \
-                else STACKED_LOSSES
-            if kw.value.value not in supported:
-                yield ctx.finding(
-                    kw.value, "REPRO012",
-                    f"{kw.arg}={kw.value.value!r} has no stacked "
-                    f"implementation (supported: {', '.join(supported)}); "
-                    "cells with this config fall back to per-individual "
-                    "execution under --backend stacked")
 
 
 # ----------------------------------------------------------------------

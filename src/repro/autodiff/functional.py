@@ -79,8 +79,7 @@ def huber(prediction: Tensor, target: Tensor | np.ndarray, delta: float = 1.0) -
 
     # Huber's branch is inherently data-dependent; fits using it
     # fall back to the eager loop (see ema-gnn check).
-    return where(abs_diff.data <= delta,  # repro: noqa[REPRO007]
-                 quadratic, linear).mean()
+    return where(abs_diff.data <= delta, quadratic, linear).mean()
 
 
 def normalize_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> np.ndarray:

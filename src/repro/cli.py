@@ -414,7 +414,7 @@ def _run_check(args) -> int:
             stack = "stackable" if v.stackable else "no-stack"
             print(f"  {v.model:<12} {v.family:<12} {trace:<10} {stack}")
             for hit in v.hazards:
-                print(f"      [{hit.code}] {hit.message}")
+                print(f"      [{hit.key}] {hit.message}")
             if v.error is not None:
                 print(f"      [error] {v.error}")
             for blocker in v.stack_blockers:

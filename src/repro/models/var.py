@@ -92,8 +92,7 @@ class VARForecaster(Forecaster):
         self._check_input(inputs)
         flat = inputs.data.reshape(inputs.shape[0], -1)
         prediction = flat @ self._coefficients + self._intercept
-        # Closed-form model: never trained, never traced.
-        return Tensor(prediction.astype(inputs.dtype))  # repro: noqa[REPRO011]
+        return Tensor(prediction.astype(inputs.dtype))
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         if not self._fitted:
@@ -126,8 +125,7 @@ class NaiveMeanForecaster(Forecaster):
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
         out = np.broadcast_to(self._mean, (inputs.shape[0], self.num_variables))
-        # Closed-form model: never trained, never traced.
-        return Tensor(out.astype(inputs.dtype).copy())  # repro: noqa[REPRO011]
+        return Tensor(out.astype(inputs.dtype).copy())
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self._mean,

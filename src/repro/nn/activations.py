@@ -45,4 +45,4 @@ class ELU(Module):
         negative = (x.exp() - 1.0) * self.alpha
         # ELU's branch is its definition; models using it trade the
         # JIT for the activation.
-        return where(x.data > 0, x, negative)  # repro: noqa[REPRO007]
+        return where(x.data > 0, x, negative)

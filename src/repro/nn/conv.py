@@ -59,12 +59,10 @@ class TemporalConv2d(Module):
         if self.causal_pad:
             # Documented fallback: temporal convs disable the JIT
             # (see ema-gnn check).
-            x = x.pad_last(self.receptive_field - 1, 0)  # repro: noqa[REPRO010]
+            x = x.pad_last(self.receptive_field - 1, 0)
         if x.shape[-1] < self.receptive_field:
-            x = x.pad_last(self.receptive_field  # repro: noqa[REPRO010]
-                           - x.shape[-1], 0)
-        windows = x.unfold_last(self.kernel_size,  # repro: noqa[REPRO010]
-                                dilation=self.dilation)
+            x = x.pad_last(self.receptive_field - x.shape[-1], 0)
+        windows = x.unfold_last(self.kernel_size, dilation=self.dilation)
         # windows: (B, C, N, T_out, K) -> (B, N, T_out, C, K) -> (B, N, T_out, C*K)
         b, c, n, t_out, k = windows.shape
         flat = windows.transpose(0, 2, 3, 1, 4).reshape(b, n, t_out, c * k)

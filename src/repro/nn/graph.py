@@ -40,7 +40,7 @@ def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
     norm = normalize_adjacency(a, add_self_loops=False)
     laplacian = np.eye(a.shape[0]) - norm
     eigvals = np.linalg.eigvalsh(laplacian)
-    lam_max = float(eigvals.max())  # repro: noqa[REPRO010] — numpy array
+    lam_max = float(eigvals.max())
     if lam_max < 1e-8:
         # Empty graph: Laplacian is 0 (isolated, no self loops) -> use -I.
         return -np.eye(a.shape[0])
@@ -238,7 +238,7 @@ class MixHopPropagation(Module):
 
                 # Static input graph: the rebuilt value is stable
                 # across epochs, so trace capture accepts it.
-                adjacency = Tensor(  # repro: noqa[REPRO011]
+                adjacency = Tensor(
                     np.asarray(adjacency, dtype=get_default_dtype()))
             propagation = self._row_normalize(adjacency)
         sparse = isinstance(propagation, CSRMatrix)
@@ -316,7 +316,7 @@ class GraphLearner(Module):
         mask = self._top_k_mask(raw.data, self.top_k)
         # The top-k mask drifts as the embeddings train — MTGNN's
         # documented JIT fallback (see ema-gnn check).
-        return raw * Tensor(mask)  # repro: noqa[REPRO011]
+        return raw * Tensor(mask)
 
     @staticmethod
     def _top_k_mask(matrix: np.ndarray, k: int) -> np.ndarray:

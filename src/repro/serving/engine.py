@@ -20,11 +20,12 @@ mechanism, forward-only:
   models (cached per identifier tuple) under ``no_grad`` in eval mode,
   which makes every batched forecast
   **bitwise identical** to the individual's solo ``predict``,
-* models outside the stackable set (or shards whose stored fast-path
-  verdict says no, or whose graphs route sparse) take the eager
-  per-request path, and a batched forward that throws falls back to
-  per-request eager execution so one poisoned request cannot take down
-  its batch,
+* models without a lane form (per
+  :func:`repro.analysis.fastpath.lane_blocker`), shards whose stored
+  fast-path verdict says no, and shards whose graphs route sparse take
+  the eager per-request path, and a batched forward that throws falls
+  back to per-request eager execution so one poisoned request cannot
+  take down its batch,
 * failures are per-request structured records in the
   :class:`~repro.training.faults.CellFailure` vocabulary — a timed-out
   or exploding request yields a :class:`RequestFailure`, never an
@@ -40,12 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..analysis.fastpath import lane_blocker
 from ..autodiff import Tensor, get_default_dtype, no_grad, set_default_dtype
 from ..data.splits import require_finite
+from ..models import MODEL_REGISTRY
 from ..nn import Module, stack_lanes
 from ..nn.sparse import gcn_routes_sparse, get_sparse_mode
 from ..training.faults import describe_exception
-from ..training.stacked import STACKED_MODELS
 from .store import CohortArtifact, CohortShard
 
 __all__ = ["ForecastRequest", "ForecastResponse", "RequestFailure",
@@ -328,7 +330,7 @@ class InferenceEngine:
         return outcomes
 
     def _stackable(self, shard: CohortShard) -> bool:
-        if shard.model_name not in STACKED_MODELS:
+        if lane_blocker(shard.model_name) is not None:
             return False
         # Stored static verdict gates the batched path; absent verdicts
         # (old manifests) default to eligible — the fallback still
@@ -336,7 +338,8 @@ class InferenceEngine:
         if shard.verdict is not None and not shard.verdict.get("stackable",
                                                                True):
             return False
-        if shard.model_name != "lstm" and self._sparse_routed(shard):
+        if MODEL_REGISTRY[shard.model_name].requires_graph \
+                and self._sparse_routed(shard):
             return False
         return True
 

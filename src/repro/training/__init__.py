@@ -16,7 +16,7 @@ from .personalized import (IndividualResult, aggregate_repeats,
                            resolve_trainer_config, run_cohort,
                            run_individual)
 from .seeding import derive_seed
-from .stacked import STACKED_MODELS, run_stacked, stackable_reason
+from .stacked import run_stacked, stackable_reason
 from .trainer import Trainer, TrainerConfig
 
 __all__ = ["TrainingHistory", "EpochRecord", "IndividualResult",
@@ -30,7 +30,7 @@ __all__ = ["TrainingHistory", "EpochRecord", "IndividualResult",
            "CohortExecutionError", "FaultInjector", "InjectedFault",
            "TrainingDivergedError", "inject_faults", "is_divergent",
            "reseed_cell", "run_stacked", "stackable_reason",
-           "STACKED_MODELS", "Callback", "CallbackSpec",
+           "Callback", "CallbackSpec",
            "TrainingContext", "build_callbacks", "EarlyStopping",
            "LRSchedulerCallback", "GradClipCallback", "DivergenceGuard",
            "EpochTimer", "SanitizerCallback"]

@@ -40,9 +40,10 @@ float tolerance should a platform's multi-axis reduction order differ.
 Eligibility and fallback
 ------------------------
 Not every cell can stack: :func:`stackable_reason` names the blocker
-(model outside :data:`STACKED_MODELS`, whose forwards are lane-generic;
-non-Adam optimizer, exotic callbacks, learned-graph export, sparse-routed
-graphs, ...).  :func:`run_stacked` trains the eligible
+(a model whose :func:`repro.nn.stack_lanes` clone does not reproduce its
+solo forwards, per :func:`repro.analysis.fastpath.lane_blocker`; non-Adam
+optimizer, exotic callbacks, learned-graph export, sparse-routed graphs,
+...).  :func:`run_stacked` trains the eligible
 cells in stacks grouped by (model, seq_len, dtype, data shape, config)
 and returns the rest — plus any stack that failed or diverged — as
 *leftover* indices for the ordinary per-individual path, which keeps its
@@ -61,17 +62,11 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..analysis.hazards import (LANE_CALLBACKS as _LANE_CALLBACKS,
-                                STACKED_LOSSES as _STACKED_LOSSES,
-                                STACKED_MODELS,
-                                STACKED_OPTIMIZER_KWARGS
-                                as _STACKED_OPTIMIZER_KWARGS,
-                                STACKED_OPTIMIZERS as _STACKED_OPTIMIZERS,
-                                reason as _reason)
+from ..analysis.hazards import reason as _reason
 from ..autodiff import (Tensor, get_default_dtype, no_grad,
                         set_default_dtype, where)
 from ..data.splits import split_windows
-from ..models import create_model
+from ..models import MODEL_REGISTRY, create_model
 from ..nn import stack_lanes
 from ..nn.sparse import gcn_routes_sparse
 from ..optim import StackedAdam
@@ -84,11 +79,18 @@ from .trainer import Trainer, TrainerConfig
 if TYPE_CHECKING:
     from .parallel import CohortCell, ParallelConfig
 
-__all__ = ["stackable_reason", "run_stacked", "STACKED_MODELS"]
+__all__ = ["stackable_reason", "run_stacked"]
 
-# The eligibility tables (STACKED_MODELS, lane-wise losses/callbacks,
-# stacked-Adam kwargs) live in :mod:`repro.analysis.hazards` so the static
-# fast-path analyzer and this runtime check read the same data.
+#: Optimizers with a lane-masked stacked implementation.
+_STACKED_OPTIMIZERS = ("adam",)
+
+#: Losses with a lane-wise (per-row) form identical to the solo reduction
+#: (the branches of :func:`_lane_losses`).
+_STACKED_LOSSES = ("mse", "mae", "huber")
+
+#: Optimizer kwargs the stacked Adam understands ("fused" is a solo-Adam
+#: toggle; the stacked step is always the fused flat-buffer form).
+_STACKED_OPTIMIZER_KWARGS = ("betas", "eps", "fused")
 
 
 def stackable_reason(cell: "CohortCell") -> str | None:
@@ -96,11 +98,14 @@ def stackable_reason(cell: "CohortCell") -> str | None:
 
     The returned string is a human-readable blocker used in diagnostics;
     callers treat ``None`` as "eligible".  Every blocker is a
-    :mod:`repro.analysis.hazards` catalogue entry (REPRO012), so the
-    static analyzer reports the same strings this function returns.
+    :mod:`repro.analysis.hazards` catalogue entry, and the architecture
+    check is the lane probe :func:`repro.analysis.fastpath.lane_blocker`.
     """
-    if cell.model_name not in STACKED_MODELS:
-        return _reason("stack-no-forward", model=cell.model_name)
+    from ..analysis.fastpath import lane_blocker  # fastpath imports us
+
+    blocker = lane_blocker(cell.model_name)
+    if blocker is not None:
+        return blocker
     if cell.export_learned_graph:
         return _reason("stack-learned-graph")
     resolved = resolve_trainer_config(cell.model_name, cell.trainer_config)
@@ -113,11 +118,11 @@ def stackable_reason(cell: "CohortCell") -> str | None:
     if resolved.loss not in _STACKED_LOSSES:
         return _reason("stack-loss", loss=resolved.loss)
     unsupported = sorted({spec.name for spec in resolved.callbacks}
-                         - set(_LANE_CALLBACKS))
+                         - set(_LANE_HANDLERS))
     if unsupported:
         return _reason("stack-callbacks", unsupported=unsupported)
     mode = getattr(cell, "sparse", "auto")
-    if cell.model_name != "lstm":
+    if MODEL_REGISTRY[cell.model_name].requires_graph:
         # The lane ops are dense-only; a cell whose graph routes its solo
         # GCN layers through CSR must stay solo, or the solo == stacked
         # bitwise contract would compare a sparse forward against a dense
@@ -273,10 +278,7 @@ def _lane_losses(prediction: Tensor, targets: np.ndarray,
         abs_diff = diff.abs()
         quadratic = diff * diff * 0.5
         linear = abs_diff * delta - 0.5 * delta * delta
-        # The stacked backend trains eagerly; lane losses are never
-        # trace-captured.
-        per_element = where(abs_diff.data <= delta,  # repro: noqa[REPRO007]
-                            quadratic, linear)
+        per_element = where(abs_diff.data <= delta, quadratic, linear)
     else:  # pragma: no cover - guarded by stackable_reason
         raise ValueError(f"loss {loss_name!r} has no lane-wise form")
     return per_element.reshape(lanes, -1).sum(axis=1) * (1.0 / count)

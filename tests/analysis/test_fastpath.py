@@ -12,6 +12,8 @@ away from the JIT, which would mask the genuine runtime
 ``disabled_reason`` this test compares against.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.autodiff import (detect_anomaly, get_default_dtype,
 from repro.autodiff import tensor as tensor_mod
 from repro.data.containers import Individual
 from repro.models import MODEL_REGISTRY, ModelConfig
+from repro.nn.sparse import get_sparse_mode, set_sparse_mode
 from repro.training import TrainerConfig, stackable_reason
 from repro.training.history import TrainingHistory
 from repro.training.personalized import run_individual
@@ -77,27 +80,30 @@ class TestBaseline:
         assert diffs == ["lstm: in baseline but not analyzed"]
 
 
-#: Expected verdicts: (traceable, stackable, required hazard codes).
+#: Expected verdicts: (traceable, stackable, hazard keys).
 EXPECTED = {
     "lstm": (True, True, set()),
     "tgcn": (True, True, set()),
     "a3tgcn": (True, True, set()),
-    "astgcn": (False, False, {"REPRO009"}),
-    "mtgnn": (False, False, {"REPRO011"}),
-    "var": (False, False, {"REPRO011"}),
-    "naive-mean": (False, False, {"REPRO011"}),
+    "astgcn": (False, False, {"matmul-1d"}),
+    "mtgnn": (False, False, {"const-value-changed"}),
+    "var": (False, False, {"empty-tape"}),
+    "naive-mean": (False, False, {"empty-tape"}),
 }
+
+#: Models whose ``stack_lanes`` clone reproduces their solo forwards.
+LANE_MODELS = ("lstm", "tgcn", "a3tgcn")
 
 
 class TestVerdicts:
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_registry_verdict(self, name):
-        traceable, stackable, codes = EXPECTED[name]
+        traceable, stackable, keys = EXPECTED[name]
         verdict = registry_verdict(name)
         assert verdict.model == name
         assert verdict.traceable is traceable
         assert verdict.stackable is stackable
-        assert codes <= {h.code for h in verdict.hazards}
+        assert {h.key for h in verdict.hazards} == keys
         if not stackable:
             assert verdict.stack_blockers
 
@@ -129,6 +135,79 @@ class TestVerdicts:
         assert registry_verdict("lstm", TrainerConfig()) is default
         huber = registry_verdict("lstm", TrainerConfig(loss="huber"))
         assert huber is not default and not huber.traceable
+
+    def test_stack_half_follows_each_config(self, monkeypatch):
+        # The memo covers the JIT probe only: an sgd verdict must not be
+        # served to a later default-config caller (or vice versa).
+        monkeypatch.setattr(fastpath, "_VERDICT_CACHE", {})
+        sgd = registry_verdict("lstm", TrainerConfig(optimizer="sgd",
+                                                     jit=True))
+        assert not sgd.stackable and "'sgd'" in sgd.stack_blockers[0]
+        default = registry_verdict("lstm", None)
+        assert default.stackable and default.stack_blockers == ()
+        assert default.traceable
+        again = registry_verdict("lstm", TrainerConfig(optimizer="sgd"))
+        assert not again.stackable
+
+
+class TestLaneBlocker:
+    """The stack_lanes probe is the one architecture check for stacking."""
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_lane_blocker(self, name):
+        blocker = fastpath.lane_blocker(name)
+        if name in LANE_MODELS:
+            assert blocker is None
+        else:
+            assert hazards.match_reason(blocker) == "stack-no-forward"
+            assert repr(name) in blocker
+
+    def test_names_the_first_lane_blocker(self):
+        assert "cheb._basis" in fastpath.lane_blocker("astgcn")
+
+    def test_unknown_model_is_blocked(self):
+        blocker = fastpath.lane_blocker("gpt")
+        assert hazards.match_reason(blocker) == "stack-no-forward"
+
+    def test_lanes_that_differ_from_solos_are_refused(self, monkeypatch):
+        from repro.models import TGCNForecaster
+
+        forward = TGCNForecaster.forward
+
+        def skewed(self, inputs):
+            out = forward(self, inputs)
+            # Perturb only the lane clone, as a faulty lane form would.
+            return out * 1.5 if inputs.ndim == 4 else out
+
+        monkeypatch.setattr(fastpath, "_LANE_BLOCKERS", {})
+        monkeypatch.setattr(TGCNForecaster, "forward", skewed)
+        blocker = fastpath.lane_blocker("tgcn")
+        assert hazards.match_reason(blocker) == "stack-no-forward"
+        assert blocker.endswith("lane outputs differ from solo outputs")
+        cell = SimpleNamespace(model_name="tgcn", export_learned_graph=False,
+                               trainer_config=None)
+        assert stackable_reason(cell) == blocker
+
+    def test_probe_ignores_the_sparse_mode(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "_LANE_BLOCKERS", {})
+        previous = get_sparse_mode()
+        set_sparse_mode("always")
+        try:
+            assert fastpath.lane_blocker("tgcn") is None
+            assert get_sparse_mode() == "always"
+        finally:
+            set_sparse_mode(previous)
+
+    def test_probe_builds_no_cell_models(self, monkeypatch):
+        # Benchmarks count real cell builds at this name.
+        from repro.training import stacked
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lane probe built a model via stacked")
+
+        monkeypatch.setattr(fastpath, "_LANE_BLOCKERS", {})
+        monkeypatch.setattr(stacked, "create_model", forbidden)
+        assert fastpath.lane_blocker("lstm") is None
 
 
 class TestRuntimeAgreement:
@@ -167,8 +246,6 @@ class TestRuntimeAgreement:
 
     @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
     def test_stack_agreement(self, name):
-        from types import SimpleNamespace
-
         verdict = registry_verdict(name)
         cell = SimpleNamespace(model_name=name, export_learned_graph=False,
                                trainer_config=None)

@@ -4,13 +4,11 @@ The catalogue (:mod:`repro.analysis.hazards`) is the single source for
 every diagnostic the runtime can emit when a cell falls off a fast path.
 These tests pin the bijection from both sides:
 
-* every ``reason(...)`` call site in ``trace.py`` / ``stacked.py`` uses a
-  key the catalogue defines, and every catalogue key has such a call
-  site — a new runtime reason without an entry (or a dead entry) fails;
-* every rendered diagnostic round-trips through :func:`match_reason`;
-* the capability tables (replayable ops, stackable models/losses/...)
-  agree with the runtime structures they mirror;
-* every hazard code is a registered lint rule.
+* every ``reason(...)`` call site in ``trace.py`` / ``stacked.py`` /
+  ``fastpath.py`` uses a key the catalogue defines, and every catalogue
+  key has such a call site — a new runtime reason without an entry (or a
+  dead entry) fails;
+* every rendered diagnostic round-trips through :func:`match_reason`.
 """
 
 import ast
@@ -19,11 +17,8 @@ import string
 
 import pytest
 
-from repro.analysis import hazards
-from repro.analysis.lint import RULES
-from repro.autodiff import tensor as tensor_mod
+from repro.analysis import fastpath, hazards
 from repro.autodiff import trace
-from repro.models import MODEL_REGISTRY
 from repro.training import stacked
 
 
@@ -48,29 +43,28 @@ def reason_keys_in(module) -> set[str]:
     return keys
 
 
+RUNTIME_MODULES = (trace, stacked, fastpath)
+
+
 class TestCatalogueCompleteness:
     def test_every_runtime_reason_key_is_catalogued(self):
-        used = reason_keys_in(trace) | reason_keys_in(stacked)
+        used = set().union(*map(reason_keys_in, RUNTIME_MODULES))
         unknown = used - set(hazards.HAZARDS)
         assert not unknown, f"runtime uses uncatalogued keys: {sorted(unknown)}"
 
     def test_every_catalogue_key_has_a_runtime_call_site(self):
-        used = reason_keys_in(trace) | reason_keys_in(stacked)
+        used = set().union(*map(reason_keys_in, RUNTIME_MODULES))
         dead = set(hazards.HAZARDS) - used
         assert not dead, f"catalogue entries never raised at runtime: {sorted(dead)}"
 
-    def test_trace_keys_and_stack_keys_partition_by_code(self):
+    def test_trace_keys_and_stack_keys_partition_by_catalogue_section(self):
         trace_keys = reason_keys_in(trace)
-        stack_keys = reason_keys_in(stacked)
+        stack_keys = reason_keys_in(stacked) | {"stack-no-forward"}
+        assert "stack-no-forward" in reason_keys_in(fastpath)
         assert not trace_keys & stack_keys
-        assert all(hazards.hazard_code(k) == "REPRO012" for k in stack_keys)
-        assert all(hazards.hazard_code(k) != "REPRO012" for k in trace_keys)
-
-    def test_every_hazard_code_is_a_lint_rule(self):
-        for entry in hazards.HAZARDS.values():
-            assert entry.code in RULES, (
-                f"hazard {entry.key!r} reports under unregistered "
-                f"lint code {entry.code!r}")
+        assert trace_keys | stack_keys == set(hazards.HAZARDS)
+        assert stack_keys == {k for k in hazards.HAZARDS
+                              if k.startswith("stack-")}
 
 
 def template_fields(template: str) -> list[str]:
@@ -86,6 +80,7 @@ _SAMPLE_FIELDS = {
     "q1": "('__add__', 2)", "q2": "('__mul__', 2)",
     "before": "(7, 5) float64", "after": "(7, 6) float64",
     "error": "boom", "model": "astgcn", "optimizer": "sgd",
+    "detail": "stack_lanes: cheb._basis (list) has no lane form",
     "loss": "quantile", "extra": "('momentum',)",
     "unsupported": "('lr-plateau',)", "mode": "always",
 }
@@ -94,15 +89,15 @@ _SAMPLE_FIELDS = {
 class TestReasonRoundTrip:
     @pytest.mark.parametrize("key", sorted(hazards.HAZARDS))
     def test_rendered_reason_matches_back_to_its_key(self, key):
-        entry = hazards.HAZARDS[key]
-        fields = {f: _SAMPLE_FIELDS[f] for f in template_fields(entry.template)}
+        template = hazards.HAZARDS[key]
+        fields = {f: _SAMPLE_FIELDS[f] for f in template_fields(template)}
         text = hazards.reason(key, **fields)
         assert hazards.match_reason(text) == key
 
     @pytest.mark.parametrize("key", sorted(hazards.HAZARDS))
     def test_retrace_budget_suffix_still_matches(self, key):
-        entry = hazards.HAZARDS[key]
-        fields = {f: _SAMPLE_FIELDS[f] for f in template_fields(entry.template)}
+        template = hazards.HAZARDS[key]
+        fields = {f: _SAMPLE_FIELDS[f] for f in template_fields(template)}
         text = hazards.reason(key, **fields) + " (retrace budget exhausted)"
         assert hazards.match_reason(text) == key
 
@@ -110,26 +105,3 @@ class TestReasonRoundTrip:
         assert hazards.match_reason(None) is None
         assert hazards.match_reason("") is None
         assert hazards.match_reason("some novel diagnostic") is None
-
-    def test_hazard_code_covers_all_keys(self):
-        codes = {hazards.hazard_code(k) for k in hazards.HAZARDS}
-        assert codes == {"REPRO007", "REPRO008", "REPRO009", "REPRO010",
-                         "REPRO011", "REPRO012"}
-
-
-class TestCapabilityTables:
-    def test_unreplayable_methods_are_real_tensor_methods(self):
-        for name in hazards.UNREPLAYABLE_TENSOR_METHODS:
-            assert callable(getattr(tensor_mod.Tensor, name, None))
-
-    def test_unreplayable_methods_have_no_replay_rule(self):
-        rule_names = {rule.name for rule in trace._rules().values()}
-        assert not hazards.UNREPLAYABLE_TENSOR_METHODS & rule_names
-
-    def test_stacked_tables_match_stacked_backend(self):
-        assert stacked.STACKED_MODELS == hazards.STACKED_MODELS
-        assert set(hazards.STACKED_MODELS) <= set(MODEL_REGISTRY)
-
-    def test_stacked_models_are_gradient_family(self):
-        for name in hazards.STACKED_MODELS:
-            assert MODEL_REGISTRY[name].family == "gradient"

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import repro.autodiff as ad
+from repro.nn.sparse import get_sparse_mode, set_sparse_mode
 from repro.serving import (ForecastResponse, InferenceEngine, ModelStore,
                            RequestFailure, build_shards)
-from repro.training.stacked import STACKED_MODELS
 
 from .test_store import V, L, make_artifact
 
@@ -31,7 +31,7 @@ def reference(models, identifier, window):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("model_name", sorted(STACKED_MODELS))
+@pytest.mark.parametrize("model_name", ["a3tgcn", "lstm", "tgcn"])
 class TestBatchedBitIdentity:
     def test_batched_equals_solo_predict(self, model_name, dtype):
         engine, models, shards = engine_for(model_name, count=4, dtype=dtype)
@@ -209,6 +209,24 @@ class TestRouting:
             np.testing.assert_array_equal(
                 outcome.prediction,
                 reference(models, outcome.identifier, window))
+
+    def test_sparse_routed_graph_shards_serve_eagerly(self):
+        engine, _, shards = engine_for("tgcn", count=2)
+        lstm_engine, _, lstm_shards = engine_for("lstm", count=2)
+        previous = get_sparse_mode()
+        set_sparse_mode("always")
+        try:
+            assert not engine._stackable(shards[0])
+            # LSTM needs no graph, so the sparse mode cannot block it.
+            assert lstm_engine._stackable(lstm_shards[0])
+            engine.submit("p0")
+            engine.submit("p1")
+            outcomes = engine.flush()
+            assert all(isinstance(o, ForecastResponse) and not o.batched
+                       for o in outcomes)
+        finally:
+            set_sparse_mode(previous)
+        assert engine._stackable(shards[0])
 
     def test_multi_model_store_requires_model_name(self):
         a0, _ = make_artifact("lstm", identifier="p0")

@@ -83,6 +83,26 @@ class TestLifecycle:
             np.testing.assert_array_equal(served.forecast(identifier),
                                           handle.forecast(identifier))
 
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_served_batching_ignores_training_optimizer(
+            self, mini_cohort, tmp_path, monkeypatch, optimizer):
+        # A --jit fit memoizes its verdict; the store's default-config
+        # verdict must not inherit the training optimizer's stack blocker.
+        from repro.analysis import fastpath
+
+        monkeypatch.setattr(fastpath, "_VERDICT_CACHE", {})
+        handle = repro.fit_cohort(
+            mini_cohort, "lstm", 2,
+            trainer_config=TrainerConfig(epochs=2, jit=True,
+                                         optimizer=optimizer))
+        handle.save(tmp_path / "store")
+        engine = repro.load(tmp_path / "store").engine(max_linger=60.0)
+        for identifier in engine.individuals:
+            assert engine.submit(identifier) == []
+        outcomes = engine.flush()
+        assert len(outcomes) == len(engine.individuals) > 1
+        assert all(outcome.batched for outcome in outcomes)
+
     def test_results_carry_fit_scores(self, mini_cohort):
         handle = repro.fit_cohort(mini_cohort, "naive-mean", 2)
         assert len(handle.results) == len(mini_cohort)
