@@ -635,7 +635,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                if b.ndim == 1:
+                if a.ndim == 1 and b.ndim == 1:
+                    # (n,) @ (n,) -> (): grad is a scalar.
+                    grad_a = grad * b
+                elif b.ndim == 1:
                     # (..., n) @ (n,) -> (...,): grad_a[..., n] = grad[...] * b[n]
                     grad_a = grad[..., None] * b
                 elif a.ndim == 1:
@@ -648,7 +651,9 @@ class Tensor:
                     grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
                 self._accumulate(grad_a)
             if other.requires_grad:
-                if a.ndim == 1:
+                if a.ndim == 1 and b.ndim == 1:
+                    grad_b = grad * a
+                elif a.ndim == 1:
                     # grad_b[..., n, m] = a[n] * grad[..., m]
                     grad_b = _unbroadcast(a[:, None] * grad[..., None, :], b.shape)
                 elif b.ndim == 1:
@@ -761,47 +766,64 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def pad_last(self, left: int, right: int, value: float = 0.0) -> "Tensor":
-        """Pad the last axis with ``value`` (used for causal temporal convs)."""
-        if left < 0 or right < 0:
-            raise ValueError("padding must be non-negative")
-        widths = [(0, 0)] * (self.ndim - 1) + [(left, right)]
-        out_data = np.pad(self.data, widths, constant_values=value)
-        size = self.shape[-1]
+    def conv_windows(self, size: int, dilation: int = 1,
+                     left_pad: int = 0) -> "Tensor":
+        """im2col for a temporal convolution over ``(B, C, N, T)`` input.
 
-        def backward(grad: np.ndarray) -> None:
-            sl = [slice(None)] * (self.ndim - 1) + [slice(left, left + size)]
-            self._accumulate(grad[tuple(sl)])
+        Left-pads time with ``left_pad`` exact zeros and returns the
+        C-contiguous ``(B, N, T_out, C * size)`` window matrix, where
+        ``T_out = T + left_pad - (size - 1) * dilation`` and column
+        ``c * size + j`` holds channel ``c`` at tap ``j``: ``windows @
+        weight.reshape(C_out, C * size).T`` is the convolution.
 
-        return Tensor._make(out_data, (self,), backward)
-
-    def unfold_last(self, size: int, dilation: int = 1) -> "Tensor":
-        """Extract sliding windows along the last axis.
-
-        Returns a tensor of shape ``(*leading, T_out, size)`` where
-        ``T_out = T - (size - 1) * dilation``.  This is the primitive that
-        temporal convolutions are built from.
+        The backward pass is part of the bitwise contract.  It accumulates
+        taps ``j = 0..size-1`` in order onto zeros, and hands the input a
+        ``[..., left_pad:]`` slice of a C-contiguous ``(B, C, N, T +
+        left_pad)`` array, because downstream reductions sum in memory
+        order (DESIGN.md, "Fused temporal windows").
         """
+        if self.ndim != 4:
+            raise ValueError(
+                f"conv_windows expects (B, C, N, T) input, got {self.shape}")
+        if size < 1 or dilation < 1 or left_pad < 0:
+            raise ValueError(
+                "size and dilation must be >= 1 and left_pad >= 0")
+        b, c, n, t = self.shape
+        t_pad = t + left_pad
         span = (size - 1) * dilation + 1
-        t_in = self.shape[-1]
-        if span > t_in:
-            raise ValueError(f"unfold window span {span} exceeds axis length {t_in}")
-        t_out = t_in - span + 1
-        idx = np.arange(t_out)[:, None] + dilation * np.arange(size)[None, :]
-        out_data = self.data[..., idx]
-        in_shape = self.shape
+        if span > t_pad:
+            raise ValueError(
+                f"window span {span} exceeds padded time length {t_pad}")
+        t_out = t_pad - span + 1
+        # Tap j of output step o reads input step o + shift_j; outputs
+        # before first_j read the zero padding.
+        taps = []
+        for j in range(size):
+            shift = j * dilation - left_pad
+            taps.append((j, shift, min(max(0, -shift), t_out)))
+        source = self.data.transpose(0, 2, 3, 1)  # (B, N, T, C) view
+        windows = np.empty((b, n, t_out, c, size), dtype=self.data.dtype)
+        for j, shift, first in taps:
+            windows[:, :, :first, :, j] = 0.0
+            if first < t_out:
+                windows[:, :, first:, :, j] = \
+                    source[:, :, first + shift:t_out + shift]
 
         def backward(grad: np.ndarray) -> None:
-            full = np.zeros(in_shape, dtype=grad.dtype)
-            # Scatter-add each window element back to its source position.
-            flat = full.reshape(-1, t_in)
-            gflat = grad.reshape(-1, t_out, size)
-            for j in range(size):
-                offs = dilation * j
-                flat[:, offs:offs + t_out] += gflat[:, :, j]
-            self._accumulate(full)
+            tap_grads = grad.reshape(b, n, t_out, c, size)
+            # Padded taps feed no input step and are skipped; every input
+            # step still sums its taps in order j = 0..size-1 onto zero.
+            summed = np.zeros((b, n, t, c), dtype=grad.dtype)
+            for j, shift, first in taps:
+                if first < t_out:
+                    summed[:, :, first + shift:t_out + shift] += \
+                        tap_grads[:, :, first:, :, j]
+            full = np.zeros((b, c, n, t_pad), dtype=grad.dtype)
+            np.copyto(full[..., left_pad:], summed.transpose(0, 3, 1, 2))
+            self._accumulate(full[..., left_pad:])
 
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(windows.reshape(b, n, t_out, c * size), (self,),
+                            backward)
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable; return plain numpy bool arrays)

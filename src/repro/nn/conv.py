@@ -3,9 +3,11 @@
 MTGNN's temporal module is a stack of dilated "inception" convolutions
 applied along the time axis of a ``(batch, channels, nodes, time)`` tensor
 (PyTorch's ``Conv2d`` with ``kernel=(1, k)``).  :class:`TemporalConv2d`
-implements exactly that contraction on top of the autodiff ``unfold_last``
-primitive; :class:`DilatedInception` combines several kernel widths as in
-the MTGNN paper (scaled down to the kernel sizes the EMA paper uses).
+implements exactly that contraction as one GEMM over the window matrix of
+the fused autodiff op :meth:`Tensor.conv_windows` (left padding, window
+extraction and layout in a single node); :class:`DilatedInception`
+combines several kernel widths as in the MTGNN paper (scaled down to the
+kernel sizes the EMA paper uses).
 """
 
 from __future__ import annotations
@@ -53,20 +55,16 @@ class TemporalConv2d(Module):
             raise ValueError(
                 f"TemporalConv2d expects (B, {self.in_channels}, N, T), got {x.shape}")
         if self.kernel_size == 1:
-            # 1x1 convolution is a pure channel mix — skip the unfold path.
+            # 1x1 convolution is a pure channel mix — skip the window op.
             mixed = x.transpose(0, 2, 3, 1) @ self.weight[:, :, 0].T + self.bias
             return mixed.transpose(0, 3, 1, 2)
-        if self.causal_pad:
-            # Documented fallback: temporal convs disable the JIT
-            # (see ema-gnn check).
-            x = x.pad_last(self.receptive_field - 1, 0)
-        if x.shape[-1] < self.receptive_field:
-            x = x.pad_last(self.receptive_field - x.shape[-1], 0)
-        windows = x.unfold_last(self.kernel_size, dilation=self.dilation)
-        # windows: (B, C, N, T_out, K) -> (B, N, T_out, C, K) -> (B, N, T_out, C*K)
-        b, c, n, t_out, k = windows.shape
-        flat = windows.transpose(0, 2, 3, 1, 4).reshape(b, n, t_out, c * k)
-        kernel = self.weight.reshape(self.out_channels, c * k).T  # (C*K, C_out)
+        # Causal convs left-pad by receptive_field - 1; any conv also
+        # left-pads a window shorter than its receptive field.
+        left = self.receptive_field - 1 if self.causal_pad else 0
+        left = max(left, self.receptive_field - x.shape[-1])
+        flat = x.conv_windows(self.kernel_size, dilation=self.dilation,
+                              left_pad=left)  # (B, N, T_out, C*K)
+        kernel = self.weight.reshape(self.out_channels, -1).T  # (C*K, C_out)
         out = flat @ kernel + self.bias  # (B, N, T_out, C_out)
         return out.transpose(0, 3, 1, 2)
 

@@ -42,7 +42,7 @@ _TENSOR_OPS = (
     "__matmul__", "__rmatmul__", "__getitem__",
     "exp", "log", "sqrt", "tanh", "sigmoid", "relu", "leaky_relu",
     "abs", "clip", "sum", "mean", "var", "max",
-    "reshape", "transpose", "swapaxes", "pad_last", "unfold_last",
+    "reshape", "transpose", "swapaxes", "conv_windows",
 )
 
 _ACTIVE: "Profiler | None" = None

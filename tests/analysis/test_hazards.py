@@ -76,7 +76,7 @@ def template_fields(template: str) -> list[str]:
 
 #: Representative values for template holes (typed like the runtime's).
 _SAMPLE_FIELDS = {
-    "i": 4, "op": "pad_last", "n1": 12, "n2": 13, "name": "hidden",
+    "i": 4, "op": "conv_windows", "n1": 12, "n2": 13, "name": "hidden",
     "q1": "('__add__', 2)", "q2": "('__mul__', 2)",
     "before": "(7, 5) float64", "after": "(7, 6) float64",
     "error": "boom", "model": "astgcn", "optimizer": "sgd",

@@ -81,22 +81,27 @@ class TestStructuralIdentities:
         np.testing.assert_allclose(g3, 3.0 * g1, atol=1e-9)
 
     @settings(max_examples=25, deadline=None)
-    @given(hnp.arrays(np.float64, (2, 7), elements=floats),
-           st.integers(1, 3), st.integers(0, 2))
-    def test_pad_then_slice_is_identity(self, x, left, right):
+    @given(hnp.arrays(np.float64, (2, 3, 2, 7), elements=floats),
+           st.integers(1, 3))
+    def test_pad_then_slice_is_identity(self, x, left):
+        # Size-1 windows are the (B, N, T, C) layout of the padded input:
+        # the pad is exact zeros and slicing it off recovers x.
         t = Tensor(x, requires_grad=True)
-        padded = t.pad_last(left, right)
-        recovered = padded[:, left:left + 7]
-        np.testing.assert_allclose(recovered.data, x)
+        windows = t.conv_windows(1, left_pad=left)
+        assert np.all(windows.data[:, :, :left] == 0.0)
+        recovered = windows[:, :, left:]
+        np.testing.assert_array_equal(recovered.data,
+                                      x.transpose(0, 2, 3, 1))
         recovered.sum().backward()
-        np.testing.assert_allclose(t.grad, np.ones_like(x))
+        np.testing.assert_array_equal(t.grad, np.ones_like(x))
 
     @settings(max_examples=25, deadline=None)
-    @given(hnp.arrays(np.float64, (2, 8), elements=floats), st.integers(1, 4))
+    @given(hnp.arrays(np.float64, (2, 3, 2, 8), elements=floats),
+           st.integers(1, 4))
     def test_unfold_size_one_is_identity(self, x, dilation):
         t = Tensor(x)
-        windows = t.unfold_last(1, dilation=dilation)
-        np.testing.assert_allclose(windows.data[..., 0], x)
+        windows = t.conv_windows(1, dilation=dilation)
+        np.testing.assert_array_equal(windows.data, x.transpose(0, 2, 3, 1))
 
     @settings(max_examples=25, deadline=None)
     @given(hnp.arrays(np.float64, (3, 4), elements=floats))

@@ -141,6 +141,17 @@ class TestGradients:
     def test_matmul_vector_lhs(self):
         check_gradients(lambda a, b: (a @ b).sum(), [leaf((4,), 27), leaf((4, 3), 28)])
 
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4,), (4,)),         # vec @ vec -> scalar
+        ((4,), (2, 4, 3)),    # vec @ batch
+        ((2, 3, 4), (4,)),    # batch @ vec
+    ], ids=["vec-vec", "vec-batch", "batch-vec"])
+    def test_matmul_vector_operands(self, a_shape, b_shape):
+        # With test_matmul_vector_rhs/lhs (mat@vec, vec@mat) this pins every
+        # 1-D operand form of the generic matmul backward.
+        check_gradients(lambda a, b: ((a @ b) ** 2).sum(),
+                        [leaf(a_shape, 60), leaf(b_shape, 61)])
+
     def test_sum_axis(self):
         check_gradients(lambda a: a.sum(axis=1).sum(), [leaf((3, 4), 29)])
 
@@ -173,14 +184,19 @@ class TestGradients:
     def test_getitem_int(self):
         check_gradients(lambda a: a[1].sum(), [leaf((3, 4), 39)])
 
-    def test_pad_last(self):
-        check_gradients(lambda a: (a.pad_last(2, 1) ** 2).sum(), [leaf((2, 3), 40)])
+    def test_conv_windows(self):
+        check_gradients(lambda a: (a.conv_windows(3) ** 2).sum(),
+                        [leaf((2, 3, 2, 8), 41)])
 
-    def test_unfold_last(self):
-        check_gradients(lambda a: (a.unfold_last(3) ** 2).sum(), [leaf((2, 8), 41)])
+    def test_conv_windows_dilated(self):
+        check_gradients(lambda a: (a.conv_windows(3, dilation=2) ** 2).sum(),
+                        [leaf((2, 3, 2, 9), 42)])
 
-    def test_unfold_last_dilated(self):
-        check_gradients(lambda a: (a.unfold_last(3, dilation=2) ** 2).sum(), [leaf((2, 9), 42)])
+    def test_conv_windows_left_pad(self):
+        # Tap 0 reads only padding and tap 1 partly; neither may leak grad.
+        check_gradients(
+            lambda a: (a.conv_windows(2, dilation=2, left_pad=3) ** 2).sum(),
+            [leaf((2, 3, 2, 2), 40)])
 
     def test_concat(self):
         a, b = leaf((2, 3), 43), leaf((2, 2), 44)

@@ -17,6 +17,7 @@ import pytest
 from repro.autodiff import (EpochJIT, Tensor, check_gradients,
                             detect_anomaly, huber, mse, where)
 from repro.autodiff.trace import TraceInvalid, chain_reference
+from repro.nn import TemporalConv2d
 
 
 def _problem(dtype=np.float32, seed=0, shape=(8, 4), out=3):
@@ -315,6 +316,39 @@ class TestInvalidation:
         # epoch 4 ran eager under the sanitizer; replay resumed after
         assert jit.ready
         assert jit.total_replays == 5
+
+
+class TestKnownDrift:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: _Compiler.gbuf allocates C-contiguous node grads "
+        "where eager borrows the transposed view, so _unbroadcast sums the "
+        "bias grad in another memory order"))
+    def test_channel_mix_conv_replays_bitwise(self):
+        # A 1x1 TemporalConv2d is transpose -> matmul -> +bias ->
+        # transpose: the bias add's grad is a transposed view in eager
+        # mode but a C-contiguous arena buffer in replay.
+        drift = []
+        for shape in ((5, 3, 6, 4), (64, 3, 26, 2)):
+            for dtype in (np.float32, np.float64):
+                rng = np.random.default_rng(1)
+                x = rng.normal(size=shape).astype(dtype)
+                y = rng.normal(size=(shape[0], 4) + shape[2:]).astype(dtype)
+                runs = []
+                for use_jit in (False, True):
+                    conv = TemporalConv2d(3, 4, 1,
+                                          rng=np.random.default_rng(0))
+                    params = list(conv.parameters())
+                    for p in params:
+                        p.data = p.data.astype(dtype)
+                    losses, _ = _loop(8, use_jit,
+                                      lambda: mse(conv(Tensor(x)), y), params)
+                    runs.append((losses, conv.weight.data.copy(),
+                                 conv.bias.data.copy()))
+                (el, ew, eb), (jl, jw, jb) = runs
+                if el != jl or not np.array_equal(ew, jw) \
+                        or not np.array_equal(eb, jb):
+                    drift.append((shape, dtype.__name__))
+        assert drift == []
 
 
 class TestFallbackReasons:

@@ -8,7 +8,7 @@ import pytest
 from repro.autodiff import Tensor
 from repro.autodiff.tensor import _BACKWARD_OP_HOOK as _hook_sentinel  # noqa: F401
 from repro.data.windows import make_windows
-from repro.models import create_model
+from repro.models import ModelConfig, create_model
 from repro.nn import Linear
 from repro.profiling import (ProfileReport, Profiler, ProfilerCallback,
                              chrome_trace, profile, write_chrome_trace)
@@ -193,6 +193,21 @@ class TestProfilerCallback:
         assert report.coverage() >= 0.9
         assert "A3TGCN" in (report.label or "")
         pickle.loads(pickle.dumps(history))  # whole history stays picklable
+
+    def test_mtgnn_profile_times_conv_windows_both_ways(self):
+        # TemporalConv2d's window matrix is one fused op: it must show up
+        # under its own name in both phases, with coverage intact.
+        config = TrainerConfig(epochs=6,
+                               callbacks=(CallbackSpec.make("profiler"),))
+        history = Trainer(config).fit(
+            create_model("mtgnn", 6, 3, adjacency=_adjacency(),
+                         config=ModelConfig(hidden_size=16), seed=4),
+            _windows())
+        report = history.profile
+        phases = {stat.phase for stat in report.ops
+                  if stat.name == "conv_windows" and stat.self_seconds > 0}
+        assert phases == {"forward", "backward"}
+        assert report.coverage() >= 0.95
 
     def test_world_restored_after_fit(self):
         matmul_before = Tensor.__matmul__
