@@ -103,8 +103,6 @@ HAZARDS: dict[str, str] = {
     "stack-optimizer":
         "optimizer {optimizer!r} has no lane-masked implementation "
         "(only 'adam')",
-    "stack-optimizer-kwargs":
-        "optimizer kwargs {extra} are not supported when stacking",
     "stack-loss":
         "loss {loss!r} has no lane-wise form",
     "stack-callbacks":

@@ -51,25 +51,19 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def mse(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean squared error over every element.
-
-    This is exactly the inner part of the paper's equation (1): summed
-    squared error divided by the total number of (time, variable) cells.
-    """
+def _squared_error(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
     target = as_tensor(target)
     diff = prediction - Tensor(target.data.astype(prediction.dtype, copy=False))
-    return (diff * diff).mean()
+    return diff * diff
 
 
-def mae(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean absolute error over every element."""
+def _absolute_error(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
     target = as_tensor(target)
-    return (prediction - target.detach()).abs().mean()
+    return (prediction - target.detach()).abs()
 
 
-def huber(prediction: Tensor, target: Tensor | np.ndarray, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic within ``delta`` of the target, linear outside."""
+def _huber_error(prediction: Tensor, target: Tensor | np.ndarray,
+                 delta: float = 1.0) -> Tensor:
     target = as_tensor(target)
     diff = prediction - target.detach()
     abs_diff = diff.abs()
@@ -79,7 +73,33 @@ def huber(prediction: Tensor, target: Tensor | np.ndarray, delta: float = 1.0) -
 
     # Huber's branch is inherently data-dependent; fits using it
     # fall back to the eager loop (see ema-gnn check).
-    return where(abs_diff.data <= delta, quadratic, linear).mean()
+    return where(abs_diff.data <= delta, quadratic, linear)
+
+
+#: Per-element term of each loss below, by training-loss name.  Each loss
+#: is its term's ``.mean()``; the stacked backend reduces the same term
+#: once per lane row instead.
+LOSS_TERMS = {"mse": _squared_error, "mae": _absolute_error,
+              "huber": _huber_error}
+
+
+def mse(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
+    """Mean squared error over every element.
+
+    This is exactly the inner part of the paper's equation (1): summed
+    squared error divided by the total number of (time, variable) cells.
+    """
+    return _squared_error(prediction, target).mean()
+
+
+def mae(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
+    """Mean absolute error over every element."""
+    return _absolute_error(prediction, target).mean()
+
+
+def huber(prediction: Tensor, target: Tensor | np.ndarray, delta: float = 1.0) -> Tensor:
+    """Huber loss: quadratic within ``delta`` of the target, linear outside."""
+    return _huber_error(prediction, target, delta).mean()
 
 
 def normalize_adjacency(adjacency: np.ndarray, add_self_loops: bool = True) -> np.ndarray:

@@ -27,11 +27,14 @@ follows the solo path *operation by operation*:
 * elementwise ops, reductions and losses are lane-rows of the exact solo
   expressions (a C-contiguous row reduction is bitwise the solo full
   reduction);
-* :class:`~repro.optim.adam.StackedAdam` replays the fused flat-buffer
-  Adam per lane row, with a lane mask to freeze early-stopped lanes;
-* per-lane early-stopping / divergence-guard handlers replay the solo
-  callbacks' decision logic (same thresholds, same snapshot/restore
-  points), so a lane stops at exactly the epoch its solo fit would.
+* the optimizer is the solo :class:`~repro.optim.adam.Adam`, built by
+  the same registry call; ``step(active=mask)`` runs its flat-buffer
+  update on the active lane rows and freezes early-stopped lanes;
+* each lane runs fresh instances of the solo early-stopping /
+  divergence-guard callbacks against its own
+  :class:`~repro.training.callbacks.TrainingContext`, whose model is a
+  view of that lane's parameter rows, so a lane stops (and restores) at
+  exactly the epoch its solo fit would.
 
 The bit-identity is asserted end-to-end in ``tests/training`` /
 ``test_stacked.py``; the documented escape hatch (DESIGN.md) is a small
@@ -65,11 +68,12 @@ import numpy as np
 from ..analysis.hazards import reason as _reason
 from ..autodiff import (Tensor, get_default_dtype, no_grad,
                         set_default_dtype, where)
+from ..autodiff.functional import LOSS_TERMS
 from ..data.splits import split_windows
 from ..models import MODEL_REGISTRY, create_model
 from ..nn import stack_lanes
 from ..nn.sparse import gcn_routes_sparse
-from ..optim import StackedAdam
+from .callbacks import TrainingContext, build_callbacks
 from .faults import is_divergent
 from .history import TrainingHistory
 from .personalized import (IndividualResult, aggregate_repeats,
@@ -81,16 +85,15 @@ if TYPE_CHECKING:
 
 __all__ = ["stackable_reason", "run_stacked"]
 
-#: Optimizers with a lane-masked stacked implementation.
+#: Optimizers whose ``step`` takes a lane mask (SGD's does not).
 _STACKED_OPTIMIZERS = ("adam",)
 
-#: Losses with a lane-wise (per-row) form identical to the solo reduction
-#: (the branches of :func:`_lane_losses`).
-_STACKED_LOSSES = ("mse", "mae", "huber")
+#: Losses whose per-element term :func:`_lane_losses` reduces per lane.
+_STACKED_LOSSES = tuple(LOSS_TERMS)
 
-#: Optimizer kwargs the stacked Adam understands ("fused" is a solo-Adam
-#: toggle; the stacked step is always the fused flat-buffer form).
-_STACKED_OPTIMIZER_KWARGS = ("betas", "eps", "fused")
+#: Solo callbacks that run unchanged on a lane: they read only the epoch
+#: loss and reach the model only through ``state_dict``/``load_state_dict``.
+_STACKED_CALLBACKS = ("early-stopping", "divergence-guard")
 
 
 def stackable_reason(cell: "CohortCell") -> str | None:
@@ -111,14 +114,10 @@ def stackable_reason(cell: "CohortCell") -> str | None:
     resolved = resolve_trainer_config(cell.model_name, cell.trainer_config)
     if resolved.optimizer not in _STACKED_OPTIMIZERS:
         return _reason("stack-optimizer", optimizer=resolved.optimizer)
-    extra = sorted(set(dict(resolved.optimizer_kwargs))
-                   - set(_STACKED_OPTIMIZER_KWARGS))
-    if extra:
-        return _reason("stack-optimizer-kwargs", extra=extra)
     if resolved.loss not in _STACKED_LOSSES:
         return _reason("stack-loss", loss=resolved.loss)
     unsupported = sorted({spec.name for spec in resolved.callbacks}
-                         - set(_LANE_HANDLERS))
+                         - set(_STACKED_CALLBACKS))
     if unsupported:
         return _reason("stack-callbacks", unsupported=unsupported)
     mode = getattr(cell, "sparse", "auto")
@@ -162,126 +161,44 @@ class _Lane:
     seed: int
 
 
-@dataclass
-class _LaneState:
-    """Per-lane mirror of :class:`~repro.training.callbacks.TrainingContext`.
+class _LaneView:
+    """Lane ``k`` of a stacked model, as a solo callback sees its model.
 
-    Only the fields the lane handlers consult; ``request_stop`` keeps the
-    solo first-reason-wins semantics.
+    ``state_dict`` copies row ``k`` of every stacked parameter and
+    ``load_state_dict`` writes it back, so the solo callbacks' snapshots
+    and restores touch only this lane.
     """
 
-    lane: int
-    epoch: int = 0
-    stop_requested: bool = False
-    stop_reason: str | None = None
+    def __init__(self, params: "OrderedDict[str, Tensor]", lane: int):
+        self._params = params
+        self._lane = lane
 
-    def request_stop(self, reason: str) -> None:
-        self.stop_requested = True
-        if self.stop_reason is None:
-            self.stop_reason = reason
+    def state_dict(self) -> "OrderedDict[str, np.ndarray]":
+        return OrderedDict((name, param.data[self._lane].copy())
+                           for name, param in self._params.items())
 
-
-class _LaneEarlyStopping:
-    """Lane replay of :class:`~repro.training.callbacks.EarlyStopping`.
-
-    Same improvement test, staleness counter, stop message and
-    restore-at-fit-end condition; snapshots/restores touch only this
-    lane's parameter rows.
-    """
-
-    def __init__(self, snapshot: Callable, restore: Callable,
-                 patience: int = 20, min_delta: float = 0.0,
-                 restore_best: bool = True):
-        self._snapshot = snapshot
-        self._restore = restore
-        self.patience = patience
-        self.min_delta = min_delta
-        self.restore_best = restore_best
-        self.best_loss = float("inf")
-        self.best_epoch = -1
-        self._best_state: dict | None = None
-        self._stale = 0
-
-    def on_epoch_end(self, state: _LaneState, loss: float) -> None:
-        if loss < self.best_loss - self.min_delta:
-            self.best_loss = loss
-            self.best_epoch = state.epoch
-            self._stale = 0
-            if self.restore_best:
-                self._best_state = self._snapshot(state.lane)
-            return
-        self._stale += 1
-        if self._stale >= self.patience:
-            state.request_stop(
-                f"early stop: no improvement for {self.patience} epochs "
-                f"(best {self.best_loss:.6g} at epoch {self.best_epoch})")
-
-    def on_fit_end(self, state: _LaneState) -> None:
-        if self.restore_best and self._best_state is not None \
-                and state.epoch != self.best_epoch:
-            self._restore(state.lane, self._best_state)
-
-
-class _LaneDivergenceGuard:
-    """Lane replay of :class:`~repro.training.callbacks.DivergenceGuard`."""
-
-    def __init__(self, snapshot: Callable, restore: Callable):
-        self._snapshot = snapshot
-        self._restore = restore
-        self.best_loss = float("inf")
-        self._best_state: dict | None = None
-        self.tripped = False
-
-    def on_epoch_end(self, state: _LaneState, loss: float) -> None:
-        if np.isfinite(loss):
-            if loss < self.best_loss:
-                self.best_loss = loss
-                self._best_state = self._snapshot(state.lane)
-            return
-        self.tripped = True
-        if self._best_state is not None:
-            self._restore(state.lane, self._best_state)
-        state.request_stop(
-            f"divergence: non-finite loss at epoch {state.epoch}"
-            + ("" if self._best_state is None
-               else f"; restored weights of loss {self.best_loss:.6g}"))
-
-    def on_fit_end(self, state: _LaneState) -> None: ...
-
-
-_LANE_HANDLERS = {
-    "early-stopping": _LaneEarlyStopping,
-    "divergence-guard": _LaneDivergenceGuard,
-}
+    def load_state_dict(self, state: dict) -> None:
+        with no_grad():
+            for name, param in self._params.items():
+                data = param.data
+                data[self._lane] = state[name]
+                param.data = data  # reassign to bump the version counter
 
 
 def _lane_losses(prediction: Tensor, targets: np.ndarray,
                  loss_name: str) -> Tensor:
     """Per-lane training losses ``(K,)`` of a ``(K, S, V)`` prediction.
 
-    Each lane's value replays the solo loss expression exactly: the same
-    elementwise ops, then a per-row sum (bitwise the solo full reduction
-    over that lane's C-contiguous block) scaled by the same reciprocal
-    count, so ``lane_losses[k].item()`` equals the solo ``loss.item()``.
+    The solo loss is its per-element term's ``.mean()``: a full sum times
+    ``1 / count`` (scalar division multiplies by the reciprocal).  Each
+    lane applies the same term, sums its row (bitwise the solo full
+    reduction over that lane's C-contiguous block) and scales by the same
+    reciprocal, so ``lane_losses[k].item()`` equals the solo
+    ``loss.item()``.
     """
-    lanes = prediction.shape[0]
     count = int(np.prod(prediction.shape[1:]))
-    if loss_name == "mse":
-        diff = prediction - Tensor(
-            targets.astype(prediction.dtype, copy=False))
-        per_element = diff * diff
-    elif loss_name == "mae":
-        per_element = (prediction - Tensor(targets)).abs()
-    elif loss_name == "huber":
-        delta = 1.0
-        diff = prediction - Tensor(targets)
-        abs_diff = diff.abs()
-        quadratic = diff * diff * 0.5
-        linear = abs_diff * delta - 0.5 * delta * delta
-        per_element = where(abs_diff.data <= delta, quadratic, linear)
-    else:  # pragma: no cover - guarded by stackable_reason
-        raise ValueError(f"loss {loss_name!r} has no lane-wise form")
-    return per_element.reshape(lanes, -1).sum(axis=1) * (1.0 / count)
+    term = LOSS_TERMS[loss_name](prediction, targets)
+    return term.reshape(prediction.shape[0], -1).sum(axis=1) * (1.0 / count)
 
 
 def _clip_lane_grads(parameters: list, active: np.ndarray,
@@ -333,6 +250,9 @@ def _execute_stack(lanes: list[_Lane],
     finishing from a state the solo path never produces.
     """
     cell0 = lanes[0].cell
+    # Fresh solo callbacks per lane, built (and argument-checked) exactly
+    # as a solo fit builds them.
+    lane_callbacks = [build_callbacks(resolved.callbacks) for _ in lanes]
     set_default_dtype(cell0.dtype)
     dtype = get_default_dtype()
     seq_len = cell0.seq_len
@@ -356,35 +276,17 @@ def _execute_stack(lanes: list[_Lane],
     inputs = Tensor(np.stack([s.train.inputs.astype(dtype) for s in splits]))
     targets = np.stack([s.train.targets.astype(dtype) for s in splits])
 
-    def snapshot(lane: int) -> "OrderedDict[str, np.ndarray]":
-        return OrderedDict((name, param.data[lane].copy())
-                           for name, param in params.items())
-
-    def restore(lane: int, saved: dict) -> None:
-        with no_grad():
-            for name, param in params.items():
-                data = param.data
-                data[lane] = saved[name]
-                param.data = data  # reassign to bump the version counter
-
-    optimizer_kwargs = dict(resolved.optimizer_kwargs)
-    optimizer_kwargs.pop("fused", None)
-    optimizer = StackedAdam(
-        params.values(), lr=resolved.learning_rate,
-        weight_decay=0.0 if resolved.weight_decay is None
-        else resolved.weight_decay, **optimizer_kwargs)
-
-    lane_handlers = [
-        [_LANE_HANDLERS[spec.name](snapshot, restore, **spec.kwargs)
-         for spec in resolved.callbacks]
-        for _ in lanes]
-    states = [_LaneState(lane=k) for k in range(num_lanes)]
-    histories = [TrainingHistory() for _ in lanes]
+    trainer = Trainer(resolved)
+    optimizer = trainer._make_optimizer(stacked)
+    contexts = [TrainingContext(model=_LaneView(params, k),
+                                optimizer=optimizer, config=resolved,
+                                history=TrainingHistory(),
+                                max_epochs=resolved.epochs)
+                for k in range(num_lanes)]
     active = np.ones(num_lanes, dtype=bool)
     needs_solo = [False] * num_lanes
     loss_name = resolved.loss
     grad_clip = resolved.grad_clip
-    learning_rate = resolved.learning_rate
 
     jit = None
     clip_holder: dict = {}
@@ -428,47 +330,43 @@ def _execute_stack(lanes: list[_Lane],
             if grad_clip is not None:
                 norms = _clip_lane_grads(param_list, active, grad_clip)
             optimizer.step(active=active)
-        newly_stopped = []
-        for k in range(num_lanes):
+        for k, ctx in enumerate(contexts):
             if not active[k]:
                 continue
-            histories[k].record(
-                loss_values[k],
-                grad_norm=None if norms is None else float(norms[k]),
-                lr=learning_rate)
-            state = states[k]
-            state.epoch = epoch
-            for handler in lane_handlers[k]:
-                handler.on_epoch_end(state, loss_values[k])
-            if not state.stop_requested and not lane_handlers[k] \
-                    and not np.isfinite(loss_values[k]):
+            ctx.epoch = epoch
+            ctx.loss = loss_values[k]
+            ctx.grad_norm = None if norms is None else float(norms[k])
+            ctx.history.record(ctx.loss, grad_norm=ctx.grad_norm,
+                               lr=optimizer.lr)
+            for callback in lane_callbacks[k]:
+                callback.on_epoch_end(ctx)
+            if not ctx.stop_requested and not lane_callbacks[k] \
+                    and not np.isfinite(ctx.loss):
                 # No callbacks: the solo fit would NaN-train to the epoch
                 # budget and its divergent result would be discarded by
                 # the scheduler anyway.  Freeze the lane (NaN rows are
                 # masked out of the optimizer, so siblings are untouched)
                 # and hand it back for the canonical solo re-run.
                 needs_solo[k] = True
-                state.stop_requested = True
-            if state.stop_requested:
-                newly_stopped.append(k)
-        for k in newly_stopped:
-            active[k] = False
-            for handler in lane_handlers[k]:
-                handler.on_fit_end(states[k])
+                ctx.stop_requested = True
+            if ctx.stop_requested:
+                # The lane's fit ends here; later steps leave its rows be.
+                active[k] = False
+                for callback in lane_callbacks[k]:
+                    callback.on_fit_end(ctx)
         if not active.any():
             break
-    for k in range(num_lanes):
-        if active[k]:
-            for handler in lane_handlers[k]:
-                handler.on_fit_end(states[k])
+    for k in np.flatnonzero(active):
+        for callback in lane_callbacks[k]:
+            callback.on_fit_end(contexts[k])
 
-    trainer = Trainer(resolved)
     outcomes = []
     for k, lane in enumerate(lanes):
         model = models[k]
         model.load_state_dict({name: param.data[k]
                                for name, param in params.items()})
-        histories[k].stop_reason = states[k].stop_reason
+        history = contexts[k].history
+        history.stop_reason = contexts[k].stop_reason
         test_mse = trainer.evaluate(model, splits[k].test)
         train_mse = trainer.evaluate(model, splits[k].train)
         result = IndividualResult(
@@ -479,7 +377,7 @@ def _execute_stack(lanes: list[_Lane],
             train_mse=train_mse,
             learned_graph=None,
             static_graph=lane.graph,
-            history=histories[k],
+            history=history,
             # The scatter above already loaded this lane's trained rows
             # into the solo model, so its state_dict is the export.
             state=model.state_dict() if lane.cell.export_state else None,

@@ -1,11 +1,12 @@
-"""Tests for the optimizer registry, keyword-only hyperparameters, and fused Adam."""
+"""Tests for the optimizer registry, keyword-only hyperparameters, and Adam's
+flat-buffer step."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, mse
+from repro.autodiff import Tensor, mse, no_grad
 from repro.data.windows import make_windows
 from repro.models import create_model
 from repro.nn import Parameter
@@ -87,60 +88,117 @@ class TestKeywordOnlyShims:
                     if issubclass(w.category, DeprecationWarning)]
 
 
+def reference_adam_step(parameters, state, lr, beta1=0.9, beta2=0.999,
+                        eps=1e-8, weight_decay=0.0):
+    """The textbook per-parameter Adam loop, the oracle for ``Adam.step``.
+
+    ``state`` holds ``t`` and the per-parameter moments ``m``/``v``.
+    """
+    state["t"] += 1
+    bias1 = 1.0 - beta1 ** state["t"]
+    bias2 = 1.0 - beta2 ** state["t"]
+    for p, m, v in zip(parameters, state["m"], state["v"]):
+        if p.grad is None:
+            continue
+        grad = p.grad
+        if weight_decay:
+            grad = grad + weight_decay * p.data
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * grad * grad
+        m_hat = m / bias1
+        v_hat = v / bias2
+        with no_grad():
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 class TestFusedAdam:
+    """``Adam.step`` runs one flat-buffer update over all parameters."""
+
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
     def test_fused_bit_identical_over_training(self, weight_decay):
-        """Fused and reference Adam produce identical fits, bit for bit."""
+        """Adam and the reference loop produce identical fits, bit for bit."""
         rng = np.random.default_rng(5)
         windows = make_windows(rng.standard_normal((50, 6)), 3)
         adjacency = rng.random((6, 6))
         adjacency = (adjacency + adjacency.T) / 2
         np.fill_diagonal(adjacency, 0.0)
         runs = {}
-        for fused in (False, True):
+        for flat in (False, True):
             model = create_model("a3tgcn", 6, 3, adjacency=adjacency, seed=7)
-            optimizer = Adam(model.parameters(), lr=0.01,
-                             weight_decay=weight_decay, fused=fused)
+            parameters = list(model.parameters())
+            if flat:
+                step = Adam(parameters, lr=0.01,
+                            weight_decay=weight_decay).step
+            else:
+                state = {"t": 0, "m": [np.zeros_like(p.data)
+                                       for p in parameters],
+                         "v": [np.zeros_like(p.data) for p in parameters]}
+
+                def step():
+                    reference_adam_step(parameters, state, lr=0.01,
+                                        weight_decay=weight_decay)
             model.train()
             losses = []
             for _ in range(12):
-                optimizer.zero_grad()
+                for p in parameters:
+                    p.zero_grad()
                 loss = mse(model(Tensor(windows.inputs.astype(np.float32))),
                            windows.targets.astype(np.float32))
                 loss.backward()
-                optimizer.step()
+                step()
                 losses.append(loss.item())
-            runs[fused] = (losses, [p.data.copy()
-                                    for p in model.parameters()])
+            runs[flat] = (losses, [p.data.copy() for p in parameters])
         assert runs[False][0] == runs[True][0]
         for ref, opt in zip(runs[False][1], runs[True][1]):
             np.testing.assert_array_equal(ref, opt)
 
     def test_fused_moments_stay_inspectable(self):
-        """_m/_v stay per-parameter (views into flat storage) when fused."""
-        fused_p, ref_p = params(8), params(8)
-        put_grads(fused_p), put_grads(ref_p)
-        fused = Adam(fused_p, lr=0.01, fused=True)
-        ref = Adam(ref_p, lr=0.01)
+        """_m/_v stay per-parameter (views into flat storage)."""
+        flat_p, ref_p = params(8), params(8)
+        put_grads(flat_p), put_grads(ref_p)
+        flat = Adam(flat_p, lr=0.01)
+        state = {"t": 0, "m": [np.zeros_like(p.data) for p in ref_p],
+                 "v": [np.zeros_like(p.data) for p in ref_p]}
         for _ in range(2):
-            fused.step()
-            ref.step()
-        for m_fused, m_ref, p in zip(fused._m, ref._m, fused_p):
-            assert m_fused.shape == p.data.shape
-            np.testing.assert_array_equal(m_fused, m_ref)
+            flat.step()
+            reference_adam_step(ref_p, state, lr=0.01)
+        for m_flat, m_ref, p in zip(flat._m, state["m"], flat_p):
+            assert m_flat.shape == p.data.shape
+            np.testing.assert_array_equal(m_flat, m_ref)
 
     def test_fused_handles_gradless_parameters(self):
         parameters = params(9)
         put_grads(parameters)
         parameters[1].grad = None
         frozen = parameters[1].data.copy()
-        opt = Adam(parameters, lr=0.1, fused=True)
+        opt = Adam(parameters, lr=0.1)
         opt.step()
         np.testing.assert_array_equal(parameters[1].data, frozen)
         # pattern change: the frozen parameter thaws mid-training.
         put_grads(parameters, seed=4)
         opt.step()
         assert not np.array_equal(parameters[1].data, frozen)
+
+    def test_mask_of_wrong_shape_is_named(self):
+        opt = Adam(params(), lr=0.1)
+        with pytest.raises(ValueError, match=r"shape \(K,\), got \(2, 2\)"):
+            opt.step(active=np.ones((2, 2), dtype=bool))
+
+    def test_parameter_without_mask_lanes_is_named(self):
+        parameters = params(n=2) + [Parameter(np.zeros((3, 4)))]
+        put_grads(parameters)
+        opt = Adam(parameters, lr=0.1)
+        with pytest.raises(ValueError,
+                           match=r"parameter 2 has shape \(3, 4\).*"
+                                 r"mask of shape \(4,\)"):
+            opt.step(active=np.ones(4, dtype=bool))
+        assert opt._step_count == 0
+
+    def test_fused_knob_is_gone(self):
+        with pytest.raises(TypeError):
+            Adam(params(), lr=0.01, **{"fused": True})
 
 
 class TestTrainerConfigOptimizer:

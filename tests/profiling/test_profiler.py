@@ -104,6 +104,29 @@ class TestProfilerCore:
         assert report.phases["epoch"][0] == 1
         assert report.coverage() == pytest.approx(1.0)
 
+    def test_stacked_cohort_steps_are_timed_as_adam_step(self):
+        # The stacked backend steps its lanes with the registered Adam, so
+        # every stacked epoch shows up as one optimizer span.
+        from repro.data.containers import EMADataset, Individual
+        from repro.training import ExecutionPolicy, ParallelConfig, run_cohort
+
+        rng = np.random.default_rng(3)
+        cohort = EMADataset([
+            Individual(identifier=f"p{i}", values=rng.normal(size=(40, 5)),
+                       variable_names=tuple(f"v{j}" for j in range(5)))
+            for i in range(3)])
+        epochs = 4
+        with profile() as prof:
+            results = run_cohort(
+                cohort, "lstm", 2, trainer_config=TrainerConfig(epochs=epochs),
+                model_config=ModelConfig(hidden_size=8),
+                parallel=ParallelConfig(execution=ExecutionPolicy(
+                    jobs=1, backend="stacked")))
+        assert all(r.history.epochs == epochs for r in results)
+        steps = {s.name: s.count for s in prof.report().ops
+                 if s.kind == "optimizer"}
+        assert steps.get("Adam.step") == epochs
+
 
 class TestProfileReport:
     def _report(self):

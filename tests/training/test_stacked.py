@@ -262,6 +262,27 @@ class TestLaneMasks:
         assert stacked[1].kind == "divergence"
         assert stacked[1].attempts == 2  # retries=1 exhausted on the solo path
 
+    @pytest.mark.parametrize("kwargs", [{"patience": 0},
+                                        {"min_delta": -1.0}])
+    def test_callback_argument_checks_match_solo(self, kwargs):
+        # A lane builds the solo callback, so an invalid spec fails the
+        # cell exactly as the per-individual path does instead of
+        # training lanes the solo constructor would have refused.
+        from repro.training.faults import CellFailure
+
+        cohort = make_cohort(num_individuals=3, ragged=False)
+        config = TrainerConfig(
+            epochs=4,
+            callbacks=(CallbackSpec.make("early-stopping", **kwargs),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            serial, stacked = run_both(cohort, "lstm", config,
+                                       faults=FaultPolicy(on_error="collect"))
+        assert_identical(serial, stacked)
+        assert all(isinstance(r, CellFailure) for r in serial + stacked)
+        assert [(r.error_type, r.message) for r in serial] == \
+            [(r.error_type, r.message) for r in stacked]
+
 
 class TestRouting:
     def test_unstackable_model_falls_back(self):
@@ -321,7 +342,9 @@ class TestRouting:
         assert_identical(serial, results)
 
 
-class TestStackedAdam:
+class TestLaneMaskedAdam:
+    """``Adam.step(active=mask)`` over parameters stacked on a lane axis."""
+
     def _clone_params(self, rng, lanes, shapes, dtype):
         from repro.nn.module import Parameter
 
@@ -342,7 +365,7 @@ class TestStackedAdam:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_full_step_matches_solo_adams(self, dtype):
-        from repro.optim import Adam, StackedAdam
+        from repro.optim import Adam
 
         set_default_dtype(np.dtype(dtype).name)
         rng = np.random.default_rng(0)
@@ -350,27 +373,33 @@ class TestStackedAdam:
         solo, stacked = self._clone_params(rng, lanes, shapes, dtype)
         solo_opts = [Adam(params, lr=0.05, weight_decay=0.01)
                      for params in solo]
-        opt = StackedAdam(stacked, lr=0.05, weight_decay=0.01)
-        for _ in range(5):
+        opt = Adam(stacked, lr=0.05, weight_decay=0.01)
+        # Lanes stop one by one: the mask runs full, then partial steps.
+        masks = [[True] * 3, [True] * 3, [True, False, True],
+                 [False, False, True], [False, False, True]]
+        for mask in masks:
+            active = np.array(mask)
             self._set_grads(rng, solo, stacked, dtype)
-            for solo_opt in solo_opts:
-                solo_opt.step()
-            opt.step()
+            for lane, solo_opt in enumerate(solo_opts):
+                if active[lane]:
+                    solo_opt.step()
+            opt.step(active=active)
         for i, param in enumerate(stacked):
             for lane in range(lanes):
                 np.testing.assert_array_equal(param.data[lane],
                                               solo[lane][i].data)
 
     def test_masked_step_freezes_lanes(self):
-        from repro.optim import Adam, StackedAdam
+        from repro.optim import Adam
 
         set_default_dtype("float32")
         rng = np.random.default_rng(1)
         lanes, shapes = 4, [(3, 3), (3,)]
         solo, stacked = self._clone_params(rng, lanes, shapes, np.float32)
         solo_opts = [Adam(params, lr=0.1) for params in solo]
-        opt = StackedAdam(stacked, lr=0.1)
+        opt = Adam(stacked, lr=0.1)
         active = np.array([True, False, True, False])
+        frozen = [param.data[~active].copy() for param in stacked]
         for step in range(4):
             self._set_grads(rng, solo, stacked, np.float32)
             for lane, solo_opt in enumerate(solo_opts):
@@ -378,6 +407,8 @@ class TestStackedAdam:
                     solo_opt.step()
             opt.step(active=active)
         for i, param in enumerate(stacked):
+            np.testing.assert_array_equal(param.data[~active], frozen[i])
+            assert not opt._m[i][~active].any()
             for lane in range(lanes):
                 np.testing.assert_array_equal(param.data[lane],
                                               solo[lane][i].data)
