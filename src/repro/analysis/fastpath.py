@@ -10,14 +10,18 @@ decides, on throwaway probe models and without running a fit,
   optimizer step.  The verdict is ``jit.ready``; a disabled JIT's
   ``disabled_reason`` is the (single) hazard, keyed through the
   :mod:`repro.analysis.hazards` catalogue.
-* **stackable**: does the cross-individual stacked backend accept it?
+* **batchable**: does the serving engine run it as one batched lane
+  forward?  Decided by :func:`lane_blocker`: two probe models are cloned
+  by :func:`repro.nn.stack_lanes`, and the clone's no-grad eval-mode
+  forward must be bitwise the stack of the solo forwards.
+* **stackable**: does the cross-individual stacked backend train it?
   Decided by the runtime's own
   :func:`repro.training.stacked.stackable_reason` over a synthetic cell,
-  whose architecture check is :func:`lane_blocker`: two probe models are
-  cloned by :func:`repro.nn.stack_lanes`, and the lane forward must be
-  bitwise the stack of the solo forwards.
+  whose architecture check adds :func:`lane_step_mismatch` to
+  :func:`lane_blocker`: a train-mode forward and backward of the clone
+  must reproduce the solo outputs and every parameter gradient bitwise.
 
-Both halves therefore come from the code that takes the fast path at
+Every verdict therefore comes from the code that takes the fast path at
 runtime, so the verdicts cannot drift from it.  ``ema-gnn check`` renders
 them (text/JSON); CI compares the JSON against the committed
 ``fastpath_baseline.json`` so an eligibility regression (a model silently
@@ -41,6 +45,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from ..autodiff import tensor as _tensor_mod
 from ..autodiff.tensor import Tensor, get_default_dtype, no_grad
 from ..autodiff.trace import EpochJIT
 from ..models import MODEL_REGISTRY, ModelConfig, create_model
@@ -55,7 +60,7 @@ __all__ = ["HazardHit", "ModelVerdict", "PROBE_BATCH", "PROBE_SEQ_LENS",
            "PROBE_VARIABLES", "analyze_model", "check_registry",
            "probe_adjacency", "baseline_summary", "load_baseline",
            "diff_baseline", "write_baseline", "registry_verdict",
-           "lane_blocker"]
+           "lane_blocker", "lane_step_mismatch"]
 
 #: Probe geometry for the JIT and lane probes (arbitrary but fixed).
 PROBE_BATCH = 7
@@ -98,6 +103,9 @@ class ModelVerdict:
     hazards: tuple[HazardHit, ...] = ()
     stack_blockers: tuple[str, ...] = ()
     error: str | None = None
+    #: Serving verdict: the engine batches this model's requests.
+    batchable: bool = False
+    batch_blockers: tuple[str, ...] = ()
 
     @property
     def trace_reason(self) -> str | None:
@@ -111,8 +119,10 @@ class ModelVerdict:
             "model": self.model,
             "family": self.family,
             "traceable": self.traceable,
+            "batchable": self.batchable,
             "stackable": self.stackable,
             "hazards": [h.to_dict() for h in self.hazards],
+            "batch_blockers": list(self.batch_blockers),
             "stack_blockers": list(self.stack_blockers),
             "error": self.error,
         }
@@ -186,6 +196,10 @@ def analyze_model(name: str, *, trainer_config=None,
     resolved = resolve_trainer_config(name, trainer_config)
     stack_blockers = _stack_blockers(name, trainer_config,
                                      export_learned_graph)
+    batch_blocker = lane_blocker(name)
+    serving = {"batchable": batch_blocker is None,
+               "batch_blockers": () if batch_blocker is None
+               else (batch_blocker,)}
 
     if spec.family != "gradient":
         # Closed-form fits never run the epoch Trainer: there is no tape
@@ -194,7 +208,8 @@ def analyze_model(name: str, *, trainer_config=None,
                         + f" — {name!r} fits closed-form, no epoch loop")
         return ModelVerdict(name, spec.family, traceable=False,
                             stackable=not stack_blockers,
-                            hazards=(hit,), stack_blockers=stack_blockers)
+                            hazards=(hit,), stack_blockers=stack_blockers,
+                            **serving)
 
     config = model_config if model_config is not None else PROBE_CONFIG
     hazards: tuple[HazardHit, ...] = ()
@@ -216,7 +231,7 @@ def analyze_model(name: str, *, trainer_config=None,
                         traceable=not hazards and error is None,
                         stackable=not stack_blockers,
                         hazards=hazards, stack_blockers=stack_blockers,
-                        error=error)
+                        error=error, **serving)
 
 
 def _stack_blockers(name: str, trainer_config,
@@ -251,7 +266,7 @@ def registry_verdict(name: str, trainer_config=None) -> ModelVerdict:
     op stream (``huber`` records a data-dependent ``where``), so one JIT
     probe per (architecture, resolved loss) serves every cell.  The stack
     half also depends on the optimizer, its kwargs and the callbacks, so
-    it is recomputed on every call (cheap: :func:`lane_blocker` is
+    it is recomputed on every call (cheap: the lane probes are
     memoized).  A verdict whose probe could not decide (``error`` set)
     is returned but not cached.
     """
@@ -271,59 +286,134 @@ def registry_verdict(name: str, trainer_config=None) -> ModelVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Lane probe: the one architecture check for stacking and batched serving.
+# Lane probes: the architecture checks for batched serving and stacking.
 # ---------------------------------------------------------------------------
 _LANE_BLOCKERS: dict[tuple[str, str], str | None] = {}
+_LANE_STEP_MISMATCHES: dict[tuple[str, str], str | None] = {}
 
 
 def lane_blocker(model_name: str) -> str | None:
-    """Why ``model_name`` has no lane form, or ``None`` if it stacks.
+    """Why ``model_name`` has no lane forward, or ``None`` if it batches.
 
-    Two seeded probe models per :data:`PROBE_SEQ_LENS` entry are cloned by
-    :func:`repro.nn.stack_lanes`, and the clone runs one eval-mode forward
-    of a ``(2, B, L, V)`` input in the default dtype.  The model stacks
-    only if that output is bitwise ``np.stack`` of the two solo outputs;
-    otherwise the ``stack-no-forward`` reason names the error or the
-    mismatch.  Memoized per (model, dtype).  Routing stays dense: sparse
-    routing is a per-cell property :func:`stackable_reason` checks.
+    The serving verdict.  Two seeded probe models per
+    :data:`PROBE_SEQ_LENS` entry are cloned by
+    :func:`repro.nn.stack_lanes`, and the clone runs one no-grad eval-mode
+    forward of a ``(2, B, L, V)`` input in the default dtype.  The model
+    batches only if that output is bitwise ``np.stack`` of the two solo
+    outputs; otherwise the ``stack-no-forward`` reason names the error or
+    the mismatch.  Memoized per (model, dtype).  Routing stays dense:
+    sparse routing is a per-cell property the runtime guards check.
     """
     key = (model_name, np.dtype(get_default_dtype()).name)
     if key not in _LANE_BLOCKERS:
-        try:
-            detail = _lane_mismatch(model_name)
-        except Exception as error:  # noqa: BLE001 - any failure blocks
-            detail = str(error) or type(error).__name__
+        detail = _probe(_lane_mismatch, model_name)
         _LANE_BLOCKERS[key] = None if detail is None else _hazards.reason(
             "stack-no-forward", model=model_name, detail=detail)
     return _LANE_BLOCKERS[key]
 
 
-def _lane_mismatch(name: str) -> str | None:
-    """Run the lane probe; ``None`` when every lane equals its solo."""
+def lane_step_mismatch(model_name: str) -> str | None:
+    """Why a lane clone of ``model_name`` cannot train, or ``None``.
+
+    The training half of the stacking verdict, asked only of models
+    :func:`lane_blocker` passes.  Two seeded probe lanes run one
+    train-mode forward (dropout active, each lane drawing from its solo's
+    generator) and a backward from a fixed output gradient; the outputs
+    and every parameter gradient must equal the solos' bitwise.  Returns
+    the error or the first mismatch; memoized per (model, dtype).
+    :func:`repro.training.stacked.stackable_reason` turns it into the
+    ``stack-no-backward`` blocker.
+    """
+    key = (model_name, np.dtype(get_default_dtype()).name)
+    if key not in _LANE_STEP_MISMATCHES:
+        _LANE_STEP_MISMATCHES[key] = _probe(_lane_step_mismatch, model_name)
+    return _LANE_STEP_MISMATCHES[key]
+
+
+def _probe(check, name: str) -> str | None:
+    """Run one lane probe densely; any exception is the verdict."""
     if name not in MODEL_REGISTRY:
         return "not a registered model"
-    rng = np.random.default_rng(0)
-    dtype = get_default_dtype()
     previous = get_sparse_mode()
     set_sparse_mode("never")
     try:
-        for seq_len in PROBE_SEQ_LENS:
-            solos = [create_model(name, PROBE_VARIABLES, seq_len,
-                                  adjacency=probe_adjacency(),
-                                  config=PROBE_CONFIG, seed=seed).eval()
-                     for seed in (0, 1)]
-            inputs = rng.normal(size=(2, PROBE_BATCH, seq_len,
-                                      PROBE_VARIABLES)).astype(dtype)
-            lanes = stack_lanes(solos).eval()
-            with no_grad():
-                expected = np.stack([solo(Tensor(x)).data
-                                     for solo, x in zip(solos, inputs)])
-                actual = lanes(Tensor(inputs)).data
-            if (actual.dtype, actual.shape, actual.tobytes()) != \
-                    (expected.dtype, expected.shape, expected.tobytes()):
-                return "lane outputs differ from solo outputs"
+        return check(name)
+    except Exception as error:  # noqa: BLE001 - any failure blocks
+        return str(error) or type(error).__name__
     finally:
         set_sparse_mode(previous)
+
+
+def _probe_models(name: str, seq_len: int) -> list:
+    return [create_model(name, PROBE_VARIABLES, seq_len,
+                         adjacency=probe_adjacency(), config=PROBE_CONFIG,
+                         seed=seed)
+            for seed in (0, 1)]
+
+
+def _same(actual: np.ndarray, expected: np.ndarray) -> bool:
+    return (actual.dtype, actual.shape, actual.tobytes()) == \
+        (expected.dtype, expected.shape, expected.tobytes())
+
+
+def _lane_mismatch(name: str) -> str | None:
+    """Eval-forward probe; ``None`` when every lane equals its solo."""
+    rng = np.random.default_rng(0)
+    dtype = get_default_dtype()
+    for seq_len in PROBE_SEQ_LENS:
+        solos = [model.eval() for model in _probe_models(name, seq_len)]
+        inputs = rng.normal(size=(2, PROBE_BATCH, seq_len,
+                                  PROBE_VARIABLES)).astype(dtype)
+        lanes = stack_lanes(solos).eval()
+        with no_grad():
+            expected = np.stack([solo(Tensor(x)).data
+                                 for solo, x in zip(solos, inputs)])
+            actual = lanes(Tensor(inputs)).data
+        if not _same(actual, expected):
+            return "lane outputs differ from solo outputs"
+    return None
+
+
+def _lane_step_mismatch(name: str) -> str | None:
+    """Train-step probe; ``None`` when outputs and grads equal the solos'.
+
+    The lane clone consumes its own solos' dropout streams, so the
+    reference runs on a second, identically seeded pair.  Graph recording
+    is forced on and the trace hook parked, so the probe leaves no node
+    behind for an outer capture.
+    """
+    rng = np.random.default_rng(0)
+    dtype = get_default_dtype()
+    saved_hook, saved_grad = _tensor_mod._TRACE_HOOK, \
+        _tensor_mod._GRAD_ENABLED
+    _tensor_mod.set_trace_hook(None)
+    _tensor_mod._GRAD_ENABLED = True
+    try:
+        for seq_len in PROBE_SEQ_LENS:
+            lanes = stack_lanes(_probe_models(name, seq_len)).train()
+            solos = [model.train() for model in _probe_models(name, seq_len)]
+            inputs = rng.normal(size=(2, PROBE_BATCH, seq_len,
+                                      PROBE_VARIABLES)).astype(dtype)
+            seed = rng.normal(size=(2, PROBE_BATCH,
+                                    PROBE_VARIABLES)).astype(dtype)
+            out = lanes(Tensor(inputs))
+            out.backward(seed)
+            lane_grads = dict(lanes.named_parameters())
+            for k, solo in enumerate(solos):
+                solo_out = solo(Tensor(inputs[k]))
+                solo_out.backward(seed[k])
+                if not _same(out.data[k], solo_out.data):
+                    return "train-mode lane outputs differ from solo outputs"
+                for param_name, param in solo.named_parameters():
+                    lane_grad = lane_grads[param_name].grad
+                    if (lane_grad is None) != (param.grad is None) or (
+                            param.grad is not None
+                            and not _same(lane_grad[k], param.grad)):
+                        return (f"lane gradient of {param_name!r} differs "
+                                f"from solo")
+    finally:
+        _tensor_mod._GRAD_ENABLED = saved_grad
+        _tensor_mod.set_trace_hook(saved_hook)
     return None
 
 
@@ -342,17 +432,21 @@ def baseline_summary(verdicts) -> dict:
     """
     models = {}
     for verdict in verdicts:
-        blocker_keys = sorted(
-            _hazards.match_reason(reason) or "unknown"
-            for reason in verdict.stack_blockers)
         models[verdict.model] = {
             "family": verdict.family,
             "traceable": verdict.traceable,
+            "batchable": verdict.batchable,
             "stackable": verdict.stackable,
             "hazards": sorted(h.key for h in verdict.hazards),
-            "stack_blockers": blocker_keys,
+            "batch_blockers": _blocker_keys(verdict.batch_blockers),
+            "stack_blockers": _blocker_keys(verdict.stack_blockers),
         }
-    return {"version": 1, "models": models}
+    return {"version": 2, "models": models}
+
+
+def _blocker_keys(reasons) -> list[str]:
+    return sorted(_hazards.match_reason(reason) or "unknown"
+                  for reason in reasons)
 
 
 def write_baseline(path, verdicts) -> None:
@@ -376,10 +470,10 @@ def diff_baseline(verdicts, baseline: dict) -> list[str]:
         if name not in current:
             diffs.append(f"{name}: in baseline but not analyzed")
             continue
-        for field in ("family", "traceable", "stackable", "hazards",
-                      "stack_blockers"):
-            if current[name][field] != recorded[name][field]:
+        for field in ("family", "traceable", "batchable", "stackable",
+                      "hazards", "batch_blockers", "stack_blockers"):
+            if current[name][field] != recorded[name].get(field):
                 diffs.append(f"{name}: {field} changed "
-                             f"{recorded[name][field]!r} -> "
+                             f"{recorded[name].get(field)!r} -> "
                              f"{current[name][field]!r}")
     return diffs

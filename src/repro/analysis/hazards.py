@@ -98,6 +98,8 @@ HAZARDS: dict[str, str] = {
     # -- stacked-backend blockers (training/stacked.py, fastpath.py) --------
     "stack-no-forward":
         "model {model!r} has no stacked forward: {detail}",
+    "stack-no-backward":
+        "model {model!r} has no stacked training step: {detail}",
     "stack-learned-graph":
         "learned-graph export requires per-individual execution",
     "stack-optimizer":

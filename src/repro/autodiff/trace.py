@@ -300,7 +300,7 @@ def _fw_lane_bias_add(C, rec):
     xd, bd = C.pbuf(rec.parents[0]), C.pbuf(rec.parents[1])
     buf = rec.tensor._data
     lanes = rec.cv["lanes"]
-    bview = bd.reshape((lanes,) + (1,) * (xd.ndim - 2) + (bd.shape[-1],))
+    bview = bd.reshape((lanes,) + (1,) * (xd.ndim - bd.ndim) + bd.shape[1:])
     C.add_call(rec, "forward", lambda: np.add(xd, bview, out=buf))
 
 

@@ -311,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser(
         "check", help="fast-path verdicts: run two probe epochs of every "
                       "registered model through the real trace-capture JIT "
-                      "and report whether it replays them and whether the "
-                      "stacked backend accepts the model")
+                      "and report whether it replays them, whether the "
+                      "serving engine batches the model and whether the "
+                      "stacked backend trains it")
     check.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (default: text); json emits the "
                             "full verdict records")
@@ -411,14 +412,19 @@ def _run_check(args) -> int:
         print(f"fast-path verdicts ({len(verdicts)} registered models):")
         for v in verdicts:
             trace = "traceable" if v.traceable else "no-jit"
+            batch = "batchable" if v.batchable else "no-batch"
             stack = "stackable" if v.stackable else "no-stack"
-            print(f"  {v.model:<12} {v.family:<12} {trace:<10} {stack}")
+            print(f"  {v.model:<12} {v.family:<12} {trace:<10} {batch:<10} "
+                  f"{stack}")
             for hit in v.hazards:
                 print(f"      [{hit.key}] {hit.message}")
             if v.error is not None:
                 print(f"      [error] {v.error}")
+            for blocker in v.batch_blockers:
+                print(f"      [serve] {blocker}")
             for blocker in v.stack_blockers:
-                print(f"      [stack] {blocker}")
+                if blocker not in v.batch_blockers:
+                    print(f"      [stack] {blocker}")
     if args.no_baseline:
         return 0
     from pathlib import Path

@@ -22,7 +22,7 @@ import numpy as np
 from ..autodiff import Tensor
 from ..nn import (ChebConv, Dropout, LayerNorm, Linear, SpatialAttention,
                   TemporalAttention, TemporalConv2d)
-from .base import Forecaster
+from .base import Forecaster, permute_trailing
 
 __all__ = ["ASTGCN"]
 
@@ -55,14 +55,16 @@ class ASTGCN(Forecaster):
 
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
-        samples = inputs.shape[0]
+        # Leading axes (samples,), or (lanes, samples) on a stack_lanes clone.
+        lead = inputs.shape[:-2]
         # (S, L, V) -> (S, V, 1, L)
-        x = inputs.transpose(0, 2, 1).reshape(samples, self.num_variables, 1, self.seq_len)
+        x = inputs.swapaxes(-1, -2).reshape(*lead, self.num_variables, 1,
+                                             self.seq_len)
 
         # 1. temporal attention: mix window steps.
         e = self.temporal_attention(x)                    # (S, L, L)
-        flat = x.reshape(samples, self.num_variables, self.seq_len)
-        x_t = (flat @ e).reshape(samples, self.num_variables, 1, self.seq_len)
+        flat = x.reshape(*lead, self.num_variables, self.seq_len)
+        x_t = (flat @ e).reshape(*lead, self.num_variables, 1, self.seq_len)
 
         # 2. spatial attention from the re-weighted signal.
         s_att = self.spatial_attention(x_t)               # (S, V, V)
@@ -72,20 +74,21 @@ class ASTGCN(Forecaster):
         # and the (S, 1, V, V) operator broadcasts over L inside ChebConv —
         # same arithmetic as the former per-step Python loop, minus L-1
         # matmul dispatches and L redundant ``T_k * S_att`` products.
-        steps_in = x_t.transpose(0, 3, 1, 2)              # (S, L, V, 1)
+        steps_in = permute_trailing(x_t, 2, 0, 1)         # (S, L, V, 1)
         spatial = self.cheb(steps_in, spatial_attention=s_att).relu()
-        spatial = spatial.transpose(0, 2, 3, 1)           # (S, V, H, L)
+        spatial = permute_trailing(spatial, 1, 2, 0)      # (S, V, H, L)
 
         # 4. temporal convolution over the window.
-        conv_in = spatial.transpose(0, 2, 1, 3)           # (S, H, V, L)
+        conv_in = permute_trailing(spatial, 1, 0, 2)      # (S, H, V, L)
         conv_out = self.time_conv(conv_in)                # (S, H, V, L)
 
         # 5. residual from raw input + layer norm over channels.
-        residual = self.residual_conv(x.transpose(0, 2, 1, 3))  # (S, H, V, L)
+        residual = self.residual_conv(
+            permute_trailing(x, 1, 0, 2))                 # (S, H, V, L)
         merged = (conv_out + residual).relu()
-        merged = self.norm(merged.transpose(0, 2, 3, 1))  # (S, V, L, H)
+        merged = self.norm(permute_trailing(merged, 1, 2, 0))  # (S, V, L, H)
 
         # head reads the whole convolved window per node.
         features = self.dropout(merged).reshape(
-            samples, self.num_variables, self.seq_len * self.hidden_size)
-        return self.head(features).reshape(samples, self.num_variables)
+            *lead, self.num_variables, self.seq_len * self.hidden_size)
+        return self.head(features).reshape(*lead, self.num_variables)

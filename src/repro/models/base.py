@@ -14,7 +14,20 @@ import numpy as np
 from ..autodiff import Tensor, no_grad
 from ..nn import Module
 
-__all__ = ["Forecaster"]
+__all__ = ["Forecaster", "permute_trailing"]
+
+
+def permute_trailing(x: Tensor, *axes: int) -> Tensor:
+    """Permute the last ``len(axes)`` axes of ``x``; leading axes stay.
+
+    ``axes`` index that trailing block, so on a ``(S, V, C, L)`` tensor
+    ``permute_trailing(x, 2, 0, 1)`` is ``x.transpose(0, 3, 1, 2)`` — the
+    same op a solo forward would hard-code — while a
+    :func:`~repro.nn.stack_lanes` clone's ``(K, S, V, C, L)`` input keeps
+    its lane axis in front.
+    """
+    lead = x.ndim - len(axes)
+    return x.transpose(*range(lead), *(lead + axis for axis in axes))
 
 
 class Forecaster(Module):

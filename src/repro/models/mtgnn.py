@@ -26,7 +26,7 @@ from ..autodiff import Tensor, no_grad
 from ..nn import (DilatedInception, Dropout, GraphLearner, LayerNorm, Linear,
                   MixHopPropagation, TemporalConv2d)
 from ..nn.container import ModuleList
-from .base import Forecaster
+from .base import Forecaster, permute_trailing
 
 __all__ = ["MTGNN"]
 
@@ -169,9 +169,8 @@ class MTGNN(Forecaster):
                    adjacency: Tensor | None = None,
                    propagations: tuple | None = None) -> Tensor:
         """Mix-hop propagation in both edge directions on (S, C, V, L)."""
-        s, c, v, l = x.shape
         # (S, C, V, L) -> (S, L, V, C): propagate over V for every position.
-        per_node = x.transpose(0, 3, 2, 1)
+        per_node = permute_trailing(x, 2, 1, 0)
         if propagations is not None:
             prop_fwd, prop_bwd = propagations
             fwd = self.graph_convs_fwd[layer](per_node,
@@ -180,19 +179,22 @@ class MTGNN(Forecaster):
                                               propagation=prop_bwd)
         else:
             fwd = self.graph_convs_fwd[layer](per_node, adjacency)
-            bwd = self.graph_convs_bwd[layer](per_node, adjacency.T)
+            bwd = self.graph_convs_bwd[layer](per_node,
+                                              adjacency.swapaxes(-1, -2))
         mixed = fwd + bwd
-        return mixed.transpose(0, 3, 2, 1)
+        return permute_trailing(mixed, 2, 1, 0)
 
     def forward(self, inputs: Tensor) -> Tensor:
         self._check_input(inputs)
-        samples = inputs.shape[0]
+        # Leading axes (samples,), or (lanes, samples) on a stack_lanes clone.
+        lead = inputs.shape[:-2]
         if self.use_graph_learning:
             adjacency, propagations = self.current_adjacency(), None
         else:
             adjacency, propagations = None, self._static_propagations()
         # (S, L, V) -> (S, 1, V, L)
-        x = inputs.transpose(0, 2, 1).reshape(samples, 1, self.num_variables, self.seq_len)
+        x = inputs.swapaxes(-1, -2).reshape(*lead, 1, self.num_variables,
+                                             self.seq_len)
         skip = self.skip_start(x)
         x = self.start_conv(x)
         for layer in range(self.num_layers):
@@ -205,11 +207,12 @@ class MTGNN(Forecaster):
                                 propagations=propagations)
             x = x + residual
             # Per-layer normalization over channels (canonical MTGNN).
-            x = self.norms[layer](x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+            x = permute_trailing(
+                self.norms[layer](permute_trailing(x, 1, 2, 0)), 2, 0, 1)
         # Final skip (canonical skipE): without it the last layer's graph
         # convolution would never reach the output head.
         skip = skip + self.skip_end(x)
         # Read the final time position of the skip accumulator.
-        final = skip[:, :, :, -1].transpose(0, 2, 1)   # (S, V, C)
+        final = skip[..., -1].swapaxes(-1, -2)   # (S, V, C)
         hidden = self.head_hidden(final.relu()).relu()
-        return self.head_out(hidden).reshape(samples, self.num_variables)
+        return self.head_out(hidden).reshape(*lead, self.num_variables)

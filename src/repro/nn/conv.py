@@ -94,4 +94,4 @@ class DilatedInception(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         outputs = [branch(x) for branch in self.branches]
-        return concat(outputs, axis=1)
+        return concat(outputs, axis=-3)

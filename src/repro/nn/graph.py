@@ -25,7 +25,7 @@ from .module import Module, Parameter
 from .sparse import CSRMatrix, csr_matmul, gcn_routes_sparse, should_use_sparse
 
 __all__ = ["GCNConv", "ChebConv", "MixHopPropagation", "GraphLearner",
-           "scaled_laplacian"]
+           "chebyshev_routes_sparse", "scaled_laplacian"]
 
 
 def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -45,6 +45,27 @@ def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
         # Empty graph: Laplacian is 0 (isolated, no self loops) -> use -I.
         return -np.eye(a.shape[0])
     return 2.0 * laplacian / lam_max - np.eye(a.shape[0])
+
+
+def chebyshev_routes_sparse(adjacency: np.ndarray, order: int, dtype=None,
+                            mode=None) -> tuple[bool, ...]:
+    """Which Chebyshev terms of a :class:`ChebConv` route through CSR.
+
+    The one routing decision for the basis ``T_0 .. T_{order-1}``:
+    :class:`ChebConv` routes each term by it, and the dense-only lane
+    guards (via :func:`repro.models.graph_routes_sparse`) ask the same
+    call.  Terms route independently: ``T_0`` is the identity (density
+    ``1/V``) and low orders can stay sparse, but higher powers of the
+    Laplacian fill in.  ``should_use_sparse`` at density 0 is the most
+    favorable case — if even that stays dense (mode ``never`` or below
+    the node floor), no basis is built here at all.
+    """
+    nodes = np.asarray(adjacency).shape[0]
+    if not should_use_sparse(nodes, 0.0, dtype, mode):
+        return (False,) * order
+    return tuple(should_use_sparse(nodes, np.count_nonzero(t) / t.size,
+                                   t.dtype, mode)
+                 for t in cached_chebyshev_basis(adjacency, order, dtype))
 
 
 class GCNConv(Module):
@@ -128,19 +149,13 @@ class ChebConv(Module):
         basis = cached_chebyshev_basis(adjacency, self.order)
         self._basis = [Tensor(t) for t in basis]
         self.num_nodes = basis[0].shape[0]
-        # Per-term autoswitch: T_0 is the identity (density 1/V) and low
-        # orders can stay sparse, but higher powers of the Laplacian fill
-        # in, so each basis term routes independently.  should_use_sparse
-        # with density 0 is the most favorable case — if even that stays
-        # dense (mode "never" or below the node floor), skip the CSR
-        # factorization entirely.
+        routes = chebyshev_routes_sparse(adjacency, self.order)
         self._sparse_basis: list[CSRMatrix | None] = [None] * self.order
-        if should_use_sparse(self.num_nodes, 0.0, basis[0].dtype):
+        if any(routes):
             self._sparse_basis = [
-                term if should_use_sparse(self.num_nodes,
-                                          term.structural_density, term.dtype)
-                else None
-                for term in cached_sparse_chebyshev(adjacency, self.order)]
+                term if sparse else None
+                for term, sparse in zip(
+                    cached_sparse_chebyshev(adjacency, self.order), routes)]
 
     def forward(self, x: Tensor, spatial_attention: Tensor | None = None) -> Tensor:
         """Apply the convolution; supports window-batched inputs.
@@ -157,24 +172,29 @@ class ChebConv(Module):
                 f"ChebConv expects (..., {self.num_nodes}, {self.in_features}), got {x.shape}")
         attention = spatial_attention
         if attention is not None and 2 < attention.ndim < x.ndim:
-            # Insert singleton axes between the sample axis and (N, N) so
+            # Insert singleton axes between the sample axes and (N, N) so
             # the operator broadcasts over x's extra axes (e.g. steps).
-            batch = attention.shape[0]
             n = attention.shape[-1]
             extra = x.ndim - attention.ndim
-            attention = attention.reshape(batch, *([1] * extra), n, n)
+            attention = attention.reshape(*attention.shape[:-2],
+                                          *([1] * extra), n, n)
         out = None
-        for t_k, sparse_k, linear in zip(self._basis, self._sparse_basis,
-                                         self.weights):
-            if attention is None and sparse_k is not None:
-                term = linear(csr_matmul(sparse_k, x))
-            else:
-                # The attention-modulated operator is per-sample and
-                # dense-valued, so that path never routes sparse.
-                operator = t_k if attention is None else t_k * attention
-                term = linear(operator @ x)
+        for order, linear in enumerate(self.weights):
+            term = linear(self._propagate(order, x, attention))
             out = term if out is None else out + term
         return out
+
+    def _propagate(self, order: int, x: Tensor,
+                   attention: Tensor | None) -> Tensor:
+        """``T_order(L~) X``, modulated by ``attention`` when given."""
+        sparse = self._sparse_basis[order]
+        if attention is None and sparse is not None:
+            return csr_matmul(sparse, x)
+        # The attention-modulated operator is per-sample and dense-valued,
+        # so that path never routes sparse.
+        t_k = self._basis[order]
+        operator = t_k if attention is None else t_k * attention
+        return operator @ x
 
 
 class MixHopPropagation(Module):
@@ -207,9 +227,9 @@ class MixHopPropagation(Module):
     @staticmethod
     def _row_normalize(adjacency: Tensor) -> Tensor:
         """Row-normalize ``A + I`` inside the autodiff graph."""
-        n = adjacency.shape[0]
+        n = adjacency.shape[-1]
         a = adjacency + Tensor(np.eye(n, dtype=adjacency.dtype))
-        degree = a.sum(axis=1, keepdims=True) + 1e-10
+        degree = a.sum(axis=-1, keepdims=True) + 1e-10
         return a / degree
 
     def forward(self, x: Tensor, adjacency: Tensor | np.ndarray | None = None,
@@ -241,15 +261,20 @@ class MixHopPropagation(Module):
                 adjacency = Tensor(
                     np.asarray(adjacency, dtype=get_default_dtype()))
             propagation = self._row_normalize(adjacency)
-        sparse = isinstance(propagation, CSRMatrix)
         hidden = x
         out = self.weights[0](x)
         for k in range(1, self.depth + 1):
-            hop = (csr_matmul(propagation, hidden) if sparse
-                   else propagation @ hidden)
+            hop = self._hop(propagation, hidden)
             hidden = x * self.beta + hop * (1.0 - self.beta)
             out = out + self.weights[k](hidden)
         return out
+
+    @staticmethod
+    def _hop(propagation: Tensor | CSRMatrix, hidden: Tensor) -> Tensor:
+        """One propagation step ``Â H`` over the node axis."""
+        if isinstance(propagation, CSRMatrix):
+            return csr_matmul(propagation, hidden)
+        return propagation @ hidden
 
 
 class GraphLearner(Module):
@@ -310,7 +335,8 @@ class GraphLearner(Module):
     def forward(self) -> Tensor:
         m1 = ((self.emb1 @ self.theta1) * self.alpha).tanh()
         m2 = ((self.emb2 @ self.theta2) * self.alpha).tanh()
-        raw = ((m1 @ m2.T - m2 @ m1.T) * self.alpha).tanh().relu()
+        raw = ((m1 @ m2.swapaxes(-1, -2) - m2 @ m1.swapaxes(-1, -2))
+               * self.alpha).tanh().relu()
         if self.top_k is None or self.top_k >= self.num_nodes:
             return raw
         mask = self._top_k_mask(raw.data, self.top_k)
@@ -322,8 +348,8 @@ class GraphLearner(Module):
     def _top_k_mask(matrix: np.ndarray, k: int) -> np.ndarray:
         """Binary mask keeping the k largest entries of each row."""
         mask = np.zeros_like(matrix)
-        idx = np.argpartition(-matrix, kth=k - 1, axis=1)[:, :k]
-        np.put_along_axis(mask, idx, 1.0, axis=1)
+        idx = np.argpartition(-matrix, kth=k - 1, axis=-1)[..., :k]
+        np.put_along_axis(mask, idx, 1.0, axis=-1)
         return mask
 
     def learned_adjacency(self) -> np.ndarray:

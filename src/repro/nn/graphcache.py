@@ -78,17 +78,17 @@ def cached_normalized_adjacency(adjacency: np.ndarray,
     return _lookup(_NORMALIZED, key, build)
 
 
-def cached_chebyshev_basis(adjacency: np.ndarray,
-                           order: int) -> tuple[np.ndarray, ...]:
+def cached_chebyshev_basis(adjacency: np.ndarray, order: int,
+                           dtype=None) -> tuple[np.ndarray, ...]:
     """Memoized Chebyshev basis ``(T_0(L~), ..., T_{order-1}(L~))``.
 
     Runs the same construction :class:`~repro.nn.graph.ChebConv` used
     inline — rescaled Laplacian (one eigendecomposition) in float64, the
-    Chebyshev recursion, then a cast to the default dtype — so a hit is
-    bit-identical to a cold build.
+    Chebyshev recursion, then a cast to ``dtype`` (default: the default
+    dtype) — so a hit is bit-identical to a cold build.
     """
-    dtype = np.dtype(get_default_dtype()).str
-    key = (_fingerprint(adjacency), int(order), dtype)
+    dtype = np.dtype(dtype if dtype is not None else get_default_dtype())
+    key = (_fingerprint(adjacency), int(order), dtype.str)
 
     def build():
         from .graph import scaled_laplacian  # local: graph.py imports us
@@ -98,7 +98,7 @@ def cached_chebyshev_basis(adjacency: np.ndarray,
         basis = [np.eye(n), lap]
         for _ in range(2, order):
             basis.append(2.0 * lap @ basis[-1] - basis[-2])
-        out = tuple(t.astype(get_default_dtype()) for t in basis[:order])
+        out = tuple(t.astype(dtype) for t in basis[:order])
         for t in out:
             t.setflags(write=False)
         return out

@@ -29,4 +29,7 @@ class LayerNorm(Module):
         centered = x - mean
         variance = (centered * centered).mean(axis=-1, keepdims=True)
         normalized = centered / (variance + self.eps).sqrt()
+        return self._affine(normalized)
+
+    def _affine(self, normalized: Tensor) -> Tensor:
         return normalized * self.weight + self.bias

@@ -30,7 +30,11 @@ Bit-exactness contract (asserted end-to-end in ``tests/training``):
   order in which the weight's per-step gradient contributions accumulate.
 * :func:`lane_propagate` mirrors the graph-propagation matmul branch
   (``(V, V) @ (..., V, C)``) per lane over a constant ``(K, V, V)``
-  operator stack.
+  operator stack; :func:`lane_mix` does the same with the solo output
+  layout.  Neither differentiates its operator: a learned one raises.
+* :func:`lane_matvec` mirrors the general branch's ``(..., n) @ (n,)``
+  matrix-vector product, and :func:`lane_scale` the broadcast multiply
+  by a per-lane weight.
 
 :func:`stack_lanes` builds a lane model from ``K`` solo models on these
 ops, so a model has one forward for solo, stacked and batched execution.
@@ -55,24 +59,30 @@ from functools import partial
 
 import numpy as np
 
-from ..autodiff import Tensor
+from ..autodiff import Tensor, is_grad_enabled, softmax
+from .attention import SpatialAttention, TemporalAttention
+from .conv import TemporalConv2d
 from .dropout import Dropout
-from .graph import GCNConv
+from .graph import ChebConv, GCNConv, MixHopPropagation
 from .linear import Linear
 from .module import Module, Parameter
+from .normalization import LayerNorm
 
-__all__ = ["BATCHED_LANES", "lane_matmul", "lane_bias_add", "lane_affine",
-           "lane_propagate", "stack_lanes"]
+__all__ = ["BATCHED_LANES", "lane_matmul", "lane_matvec", "lane_bias_add",
+           "lane_scale", "lane_affine", "lane_propagate", "lane_mix",
+           "stack_lanes"]
 
 
 def _probe_batched_exactness() -> bool:
     """True iff batched matmul/sum replay the per-lane loops bitwise.
 
-    Covers the four operand patterns the lane ops issue: plain stacked
-    GEMM, transposed-view second operand (``weight.swapaxes``), transposed
-    first operand (the grad-weight GEMM), and the bias middle-axis
-    reduction — in both default dtypes, with non-round shapes so BLAS
-    blocking kicks in where it would for real workloads.
+    Covers the operand patterns the lane ops issue: plain stacked GEMM,
+    transposed-view second operand (``weight.swapaxes``), transposed
+    first operand (the grad-weight GEMM), the bias middle-axis
+    reductions (one- and two-axis features) and matrix-vector products
+    on contiguous and transposed-view left operands — in both default
+    dtypes, with non-round shapes so BLAS blocking kicks in where it
+    would for real workloads.
     """
     rng = np.random.default_rng(20260807)
     lanes = 4
@@ -101,7 +111,31 @@ def _probe_batched_exactness() -> bool:
                                   np.stack([r[k].sum(axis=(0, 1))
                                             for k in range(lanes)])):
                 return False
+            # Multi-axis feature reductions (2-D lane biases).
+            if not np.array_equal(r.sum(axis=1),
+                                  np.stack([r[k].sum(axis=0)
+                                            for k in range(lanes)])):
+                return False
+            # Matrix-vector products against a per-lane 1-D operand, on
+            # a contiguous and on a transposed-view left operand.
+            v = rng.normal(size=(lanes, p)).astype(dtype)
+            for left in (r, r.swapaxes(-1, -2).copy().swapaxes(-1, -2)):
+                if not np.array_equal(_batched_matvec(left, v),
+                                      np.stack([left[k] @ v[k]
+                                                for k in range(lanes)])):
+                    return False
     return True
+
+
+def _batched_matvec(xd: np.ndarray, vd: np.ndarray) -> np.ndarray:
+    """``out[k] = xd[k] @ vd[k]`` for ``vd`` of shape ``(K, n)``.
+
+    The ``(n, 1)`` column keeps numpy's matrix-vector kernel, the one the
+    solo ``(..., n) @ (n,)`` product dispatches per 2-D slice.
+    """
+    column = vd.reshape((vd.shape[0],) + (1,) * (xd.ndim - 3)
+                        + (vd.shape[-1], 1))
+    return np.matmul(xd, column)[..., 0]
 
 
 #: Whether this host's numpy/BLAS build dispatches stacked ``np.matmul``
@@ -164,22 +198,67 @@ def lane_matmul(x: Tensor, wt: Tensor) -> Tensor:
     return Tensor._make(out, (x, wt), lane_matmul_backward)
 
 
-def lane_bias_add(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a per-lane bias ``(K, F)`` to ``x`` of shape ``(K, ..., F)``.
+def lane_matvec(x: Tensor, v: Tensor) -> Tensor:
+    """Per-lane matrix-vector product ``out[k] = x[k] @ v[k]``.
 
-    The bias gradient is accumulated here directly — per lane,
-    ``grad[k].sum`` over every axis before the feature axis, which is
-    precisely the ``_unbroadcast`` reduction the solo broadcast-add
-    performs — so the bias leaf sees its per-use contributions at the
-    same graph positions (and therefore in the same order) as solo.
+    ``x`` is ``(K, ..., n)`` and ``v`` the stacked ``(K, n)`` parameter of
+    a solo 1-D operand (the attention vectors of
+    :class:`~repro.nn.SpatialAttention` / ``TemporalAttention``).  Forward
+    and backward mirror ``Tensor.__matmul__``'s general branch for a 1-D
+    second operand: one matrix-vector product per 2-D slice, then
+    ``grad[..., None] * v`` for ``x`` and a full ``tensordot`` contraction
+    of ``grad`` with ``x`` for ``v``, lane by lane.
+    """
+    xd, vd = x.data, v.data
+    if vd.ndim != 2 or xd.ndim < 3 or xd.shape[0] != vd.shape[0] \
+            or xd.shape[-1] != vd.shape[-1]:
+        raise ValueError(f"lane_matvec got {xd.shape} @ {vd.shape}")
+    lanes = xd.shape[0]
+    if BATCHED_LANES:
+        out = _batched_matvec(xd, vd)
+    else:
+        out = np.stack([xd[k] @ vd[k] for k in range(lanes)])
+
+    def lane_matvec_backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad[..., None] * vd.reshape(
+                (lanes,) + (1,) * (xd.ndim - 2) + (vd.shape[-1],)))
+        if v.requires_grad:
+            gv = np.empty(vd.shape, dtype=np.result_type(grad, xd))
+            axes = list(range(grad.ndim - 1))
+            for k in range(lanes):
+                gv[k] = np.tensordot(grad[k], xd[k], axes=(axes, axes))
+            v._accumulate(gv)
+
+    return Tensor._make(out, (x, v), lane_matvec_backward)
+
+
+def _lane_broadcast(xd: np.ndarray, pd: np.ndarray) -> np.ndarray:
+    """View a per-lane ``(K, *feature)`` array against ``(K, ..., *feature)``."""
+    if xd.shape[0] != pd.shape[0] or xd.ndim < pd.ndim \
+            or xd.shape[xd.ndim - pd.ndim + 1:] != pd.shape[1:]:
+        raise ValueError(f"per-lane operand {pd.shape} does not match "
+                         f"lanes of {xd.shape}")
+    return pd.reshape((pd.shape[0],) + (1,) * (xd.ndim - pd.ndim)
+                      + pd.shape[1:])
+
+
+def lane_bias_add(x: Tensor, bias: Tensor) -> Tensor:
+    """Add a per-lane bias ``(K, *F)`` to ``x`` of shape ``(K, ..., *F)``.
+
+    ``F`` is the solo bias shape: one feature axis for ``Linear``, two
+    for the attention biases.  The bias gradient is accumulated here
+    directly — per lane, ``grad[k].sum`` over every axis before the
+    feature axes, which is precisely the ``_unbroadcast`` reduction the
+    solo broadcast-add performs — so the bias leaf sees its per-use
+    contributions at the same graph positions (and therefore in the same
+    order) as solo.
     """
     xd, bd = x.data, bias.data
-    if xd.shape[0] != bd.shape[0] or xd.shape[-1] != bd.shape[-1]:
-        raise ValueError(f"lane_bias_add got {xd.shape} + {bd.shape}")
     lanes = xd.shape[0]
-    out = xd + bd.reshape((lanes,) + (1,) * (xd.ndim - 2) + (bd.shape[-1],))
-    reduce_axes = tuple(range(xd.ndim - 2))
-    batched_axes = tuple(range(1, xd.ndim - 1))
+    out = xd + _lane_broadcast(xd, bd)
+    reduce_axes = tuple(range(xd.ndim - bd.ndim))
+    batched_axes = tuple(a + 1 for a in reduce_axes)
 
     def lane_bias_add_backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -194,6 +273,33 @@ def lane_bias_add(x: Tensor, bias: Tensor) -> Tensor:
             bias._accumulate(gb)
 
     return Tensor._make(out, (x, bias), lane_bias_add_backward)
+
+
+def lane_scale(x: Tensor, weight: Tensor) -> Tensor:
+    """Multiply ``x`` ``(K, ..., *F)`` by a per-lane weight ``(K, *F)``.
+
+    Mirrors the solo broadcast multiply ``x * weight`` (``LayerNorm``'s
+    affine scale): the weight gradient is ``grad * x`` reduced per lane
+    over the axes the solo ``_unbroadcast`` sums.
+    """
+    xd, wd = x.data, weight.data
+    view = _lane_broadcast(xd, wd)
+    out = xd * view
+    reduce_axes = tuple(range(xd.ndim - wd.ndim))
+
+    def lane_scale_backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad * view)
+        if weight.requires_grad:
+            product = grad * xd
+            if BATCHED_LANES:
+                gw = product.sum(axis=tuple(a + 1 for a in reduce_axes))
+            else:
+                gw = np.stack([product[k].sum(axis=reduce_axes)
+                               for k in range(wd.shape[0])])
+            weight._accumulate(gw)
+
+    return Tensor._make(out, (x, weight), lane_scale_backward)
 
 
 def lane_affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -211,25 +317,15 @@ def lane_affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     return out
 
 
-def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
-    """Per-lane graph propagation ``out[k] = operator[k] @ x[k]``.
+def _mixers(lanes: int, batch_shape: tuple[int, ...],
+            contiguous: bool = True):
+    """The solo ``(V, V) @ (..., V, C)`` flatten-to-one-GEMM product
+    (``_mix``) and its lane-batched form over ``(K, V, V)`` stacks.
 
-    ``operator`` is a constant ``(K, V, V)`` stack (the solo layers'
-    normalized operators, see :func:`stack_lanes`); ``x`` is
-    ``(K, ..., V, C)``.  Forward and backward mirror the solo
-    ``(V, V) @ (..., V, C)`` matmul branch (the ``_mix`` flatten-to-one-
-    GEMM trick) once per lane; the operator is never differentiated.
+    ``contiguous=False`` returns the batched product as the solo's own
+    ``moveaxis`` view, lane by lane, for consumers whose later reductions
+    follow the operand's memory order.
     """
-    xd = x.data
-    if operator.ndim != 3 or operator.shape[0] != xd.shape[0]:
-        raise ValueError(f"operator must be (K, V, V) matching x lanes, "
-                         f"got {operator.shape} for x {xd.shape}")
-    if xd.shape[-2] != operator.shape[-1]:
-        raise ValueError(f"lane_propagate got {operator.shape} @ {xd.shape}")
-    lanes = xd.shape[0]
-    batch_shape = xd.shape[1:-2]
-    nodes = operator.shape[-2]
-    out_shape = xd.shape[:-2] + (nodes, xd.shape[-1])
 
     def _mix(matrix: np.ndarray, operand: np.ndarray) -> np.ndarray:
         moved = np.moveaxis(operand, -2, 0).reshape(operand.shape[-2], -1)
@@ -248,7 +344,55 @@ def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
         mixed = np.matmul(matrices, moved)
         mixed = mixed.reshape(lanes, matrices.shape[-2], *batch_shape,
                               operand.shape[-1])
+        if not contiguous:
+            return np.moveaxis(mixed, 1, -2)
         return np.ascontiguousarray(np.moveaxis(mixed, 1, -2))
+
+    return _mix, _mix_batched
+
+
+def _check_mix(operator: np.ndarray, xd: np.ndarray, name: str) -> None:
+    if operator.ndim != 3 or operator.shape[0] != xd.shape[0]:
+        raise ValueError(f"operator must be (K, V, V) matching x lanes, "
+                         f"got {operator.shape} for x {xd.shape}")
+    if xd.shape[-2] != operator.shape[-1]:
+        raise ValueError(f"{name} got {operator.shape} @ {xd.shape}")
+
+
+def _constant_operator(operator, name: str) -> np.ndarray:
+    """The ``(K, V, V)`` operand of a lane propagation, as an array.
+
+    A tensor that would need an operator gradient raises ``TypeError``
+    instead of being silently detached: a learned ``(K, V, V)`` operator
+    (MTGNN's graph, the ASTGCN attentions' ``vs``/``ve``) has no lane
+    backward, which is what keeps those models' training solo.
+    """
+    if isinstance(operator, Tensor):
+        if operator.requires_grad and is_grad_enabled():
+            raise TypeError(
+                f"{name}: the (K, V, V) operator requires grad; a learned "
+                f"operator has no lane backward")
+        operator = operator.data
+    return operator
+
+
+def lane_propagate(operator, x: Tensor) -> Tensor:
+    """Per-lane graph propagation ``out[k] = operator[k] @ x[k]``.
+
+    ``operator`` is a constant ``(K, V, V)`` stack (the solo layers'
+    normalized operators, see :func:`stack_lanes`), or a tensor that
+    needs no gradient, such as a served MTGNN's learned graphs; ``x`` is
+    ``(K, ..., V, C)``.  Forward and backward mirror the solo ``(V, V) @
+    (..., V, C)`` matmul branch (the ``_mix`` flatten-to-one-GEMM trick)
+    once per lane; the operator is never differentiated (see
+    :func:`_constant_operator`).
+    """
+    operator = _constant_operator(operator, "lane_propagate")
+    xd = x.data
+    _check_mix(operator, xd, "lane_propagate")
+    lanes = xd.shape[0]
+    out_shape = xd.shape[:-2] + (operator.shape[-2], xd.shape[-1])
+    _mix, _mix_batched = _mixers(lanes, xd.shape[1:-2])
 
     if BATCHED_LANES:
         out = _mix_batched(operator, xd)
@@ -267,6 +411,36 @@ def lane_propagate(operator: np.ndarray, x: Tensor) -> Tensor:
         x._accumulate(gx)
 
     return Tensor._make(out, (x,), lane_propagate_backward)
+
+
+def lane_mix(operator, x: Tensor) -> Tensor:
+    """:func:`lane_propagate` that keeps the solo output layout.
+
+    The solo ``_mix`` returns a ``moveaxis`` view of a C-contiguous ``(V,
+    ..., C)`` block; the ASTGCN attentions' products keep that layout
+    through their softmax into ``ChebConv``, whose per-sample BLAS calls
+    see its strides, so lane ``k`` here is the same view of its own
+    block.  Used for the attentions' ``vs``/``ve`` parameters, which, as
+    learned operators, have no lane backward.
+    """
+    operator = _constant_operator(operator, "lane_mix")
+    xd = x.data
+    _check_mix(operator, xd, "lane_mix")
+    lanes = xd.shape[0]
+    _mix, _mix_batched = _mixers(lanes, xd.shape[1:-2], contiguous=False)
+
+    def per_lane(matrices: np.ndarray, operand: np.ndarray) -> np.ndarray:
+        mixed = np.stack([np.moveaxis(_mix(matrices[k], operand[k]), -2, 0)
+                          for k in range(lanes)])
+        return np.moveaxis(mixed, 1, -2)
+
+    mix = _mix_batched if BATCHED_LANES else per_lane
+    out = mix(operator, xd)
+
+    def lane_mix_backward(grad: np.ndarray) -> None:
+        x._accumulate(mix(operator.swapaxes(-1, -2), grad))
+
+    return Tensor._make(out, (x,), lane_mix_backward)
 
 
 # ----------------------------------------------------------------------
@@ -326,8 +500,120 @@ class _LaneDropout(Module):
         return x * mask
 
 
+class _LaneChebConv(ChebConv):
+    """Lane twin of a dense :class:`~repro.nn.ChebConv`: the solo forward
+    over a stacked ``(K, V, V)`` operator per Chebyshev order."""
+
+    _derived = ("_basis", "_sparse_basis")
+
+    def _adopt(self, solos: list, path: str) -> None:
+        if any(term is not None for solo in solos
+               for term in solo._sparse_basis):
+            raise TypeError(f"stack_lanes: {path or 'ChebConv'} is "
+                            f"sparse-routed; lane propagation is dense-only")
+        self._basis = []
+        for order in range(self.order):
+            stacked = np.stack([solo._basis[order].data for solo in solos])
+            stacked.setflags(write=False)
+            self._basis.append(stacked)
+
+    def _propagate(self, order: int, x: Tensor,
+                   attention: Tensor | None) -> Tensor:
+        basis = self._basis[order]
+        if attention is None:
+            return lane_propagate(basis, x)
+        # (K, V, V) -> (K, 1, ..., V, V) against the (K, S, 1, V, V)
+        # attention: the solo ``T_k * S_att`` products, lane by lane.
+        operator = Tensor(basis.reshape(
+            basis.shape[:1] + (1,) * (attention.ndim - 3) + basis.shape[1:]))
+        return (operator * attention) @ x
+
+
+def _check_attention(module, x: Tensor, name: str) -> None:
+    expected = (module.num_nodes, module.in_channels, module.num_steps)
+    if x.ndim != 5 or x.shape[-3:] != expected:
+        raise ValueError(f"{name} lanes expect (K, B, {expected[0]}, "
+                         f"{expected[1]}, {expected[2]}), got {x.shape}")
+
+
+class _LaneSpatialAttention(Module):
+    """Lane twin of :class:`~repro.nn.SpatialAttention` on ``(K, B, N, C,
+    T)``; the solo 1-D ``w1``/``w3`` become ``(K, n)`` lane rows."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        _check_attention(self, x, "SpatialAttention")
+        lhs = lane_matmul(lane_matvec(x, self.w1), self.w2)       # (K, B, N, T)
+        rhs = lane_matvec(x.transpose(0, 1, 4, 2, 3), self.w3)   # (K, B, T, N)
+        product = lhs @ rhs                                       # (K, B, N, N)
+        scores = lane_mix(self.vs,
+                          lane_bias_add(product, self.bias).sigmoid())
+        return softmax(scores, axis=-1)
+
+
+class _LaneTemporalAttention(Module):
+    """Lane twin of :class:`~repro.nn.TemporalAttention` on ``(K, B, N,
+    C, T)``; the solo 1-D ``u1``/``u3`` become ``(K, n)`` lane rows."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        _check_attention(self, x, "TemporalAttention")
+        xt = x.transpose(0, 1, 4, 3, 2)                           # (K, B, T, C, N)
+        lhs = lane_matmul(lane_matvec(xt, self.u1), self.u2)      # (K, B, T, N)
+        rhs = lane_matvec(x.transpose(0, 1, 2, 4, 3), self.u3)   # (K, B, N, T)
+        product = lhs @ rhs                                       # (K, B, T, T)
+        scores = lane_mix(self.ve,
+                          lane_bias_add(product, self.bias).sigmoid())
+        return softmax(scores, axis=-1)
+
+
+class _LaneTemporalConv2d(TemporalConv2d):
+    """Lane twin of :class:`~repro.nn.TemporalConv2d` on ``(K, B, C, N,
+    T)``: the lanes fold into ``conv_windows``' batch axis, and each lane
+    contracts its windows with its own kernel through :func:`lane_affine`."""
+
+    def forward(self, x: Tensor) -> Tensor:
+        if x.ndim != 5 or x.shape[2] != self.in_channels:
+            raise ValueError(f"TemporalConv2d lanes expect (K, B, "
+                             f"{self.in_channels}, N, T), got {x.shape}")
+        lanes = x.shape[0]
+        if self.kernel_size == 1:
+            mixed = lane_affine(x.transpose(0, 1, 3, 4, 2),
+                                self.weight[:, :, :, 0], self.bias)
+            return mixed.transpose(0, 1, 4, 2, 3)
+        left = self.receptive_field - 1 if self.causal_pad else 0
+        left = max(left, self.receptive_field - x.shape[-1])
+        flat = x.reshape(-1, *x.shape[2:]).conv_windows(
+            self.kernel_size, dilation=self.dilation, left_pad=left)
+        flat = flat.reshape(lanes, -1, *flat.shape[1:])  # (K, B, N, T', C*k)
+        kernel = self.weight.reshape(lanes, self.out_channels, -1)
+        out = lane_affine(flat, kernel, self.bias)       # (K, B, N, T', C_out)
+        return out.transpose(0, 1, 4, 2, 3)
+
+
+class _LaneLayerNorm(LayerNorm):
+    """Lane twin of :class:`~repro.nn.LayerNorm`: the solo normalization,
+    then a per-lane affine."""
+
+    def _affine(self, normalized: Tensor) -> Tensor:
+        return lane_bias_add(lane_scale(normalized, self.weight), self.bias)
+
+
+class _LaneMixHopPropagation(MixHopPropagation):
+    """Lane twin of :class:`~repro.nn.MixHopPropagation`: each hop runs
+    :func:`lane_propagate` over the ``(K, V, V)`` operator, which refuses
+    an operator that requires grad (a learned graph in training)."""
+
+    @staticmethod
+    def _hop(propagation, hidden: Tensor) -> Tensor:
+        return lane_propagate(propagation, hidden)
+
+
 _LANE_TWINS = {Linear: _LaneLinear, GCNConv: _LaneGCNConv,
-               Dropout: _LaneDropout}
+               Dropout: _LaneDropout, ChebConv: _LaneChebConv,
+               SpatialAttention: _LaneSpatialAttention,
+               TemporalAttention: _LaneTemporalAttention,
+               TemporalConv2d: _LaneTemporalConv2d,
+               LayerNorm: _LaneLayerNorm,
+               MixHopPropagation: _LaneMixHopPropagation}
 
 
 def _is_plain(value) -> bool:
@@ -355,14 +641,15 @@ def _clone(solos: list, path: str) -> Module:
         clone.register_module(name, children[id(child)])
     skip = {"_parameters", "_modules", "training", *first._parameters,
             *first._modules, *getattr(twin, "_derived", ())}
-    for name, value in vars(first).items():
+    states = [vars(solo) for solo in solos]
+    for name, value in states[0].items():
         if name in skip:
             continue
         if isinstance(value, list) and all(id(item) in children
                                            for item in value):
             value = [children[id(item)] for item in value]  # container items
-        elif not (_is_plain(value)
-                  and all(vars(solo).get(name) == value for solo in solos)):
+        elif not (_is_plain(value) and [state.get(name) for state in states]
+                  .count(value) == len(states)):
             raise TypeError(f"stack_lanes: {path}{name} "
                             f"({type(value).__name__}) has no lane form")
         object.__setattr__(clone, name, value)
@@ -378,8 +665,10 @@ def stack_lanes(models) -> Module:
     The clone keeps the solo module tree and parameter names; each
     parameter becomes the ``(K, *shape)`` stack of the solo values (in the
     current default dtype, which must be the solos'), and lane ``k`` of
-    every output and gradient equals solo ``k``'s bitwise.  ``Linear``,
-    dense ``GCNConv`` and ``Dropout`` become lane twins; every other
+    every output and gradient equals solo ``k``'s bitwise.  The layers
+    in ``_LANE_TWINS`` (``Linear``, dense ``GCNConv``/``ChebConv``,
+    ``Dropout``, ``LayerNorm``, ``TemporalConv2d``, the ASTGCN
+    attentions, ``MixHopPropagation``) become lane twins; every other
     module runs its own ``forward``, which must accept one extra leading
     lane axis.  Per-instance state with no lane form — an array, tensor or
     generator, or a plain value the solos disagree on — raises a

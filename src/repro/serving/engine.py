@@ -44,9 +44,9 @@ import numpy as np
 from ..analysis.fastpath import lane_blocker
 from ..autodiff import Tensor, get_default_dtype, no_grad, set_default_dtype
 from ..data.splits import require_finite
-from ..models import MODEL_REGISTRY
+from ..models import graph_routes_sparse
 from ..nn import Module, stack_lanes
-from ..nn.sparse import gcn_routes_sparse, get_sparse_mode
+from ..nn.sparse import get_sparse_mode
 from ..training.faults import describe_exception
 from .store import CohortArtifact, CohortShard
 
@@ -110,7 +110,10 @@ class RequestFailure:
                 f"{self.kind} — {self.error_type}: {self.message}")
 
 
+#: Lane-model cache bounds: entries, and bytes of stacked parameters (a
+#: 7-lane MTGNN clone holds ~0.8 MB, an LSTM or T-GCN one ~0.2 MB).
 _MAX_STACK_CACHE = 32
+_MAX_STACK_CACHE_BYTES = 4 << 20
 
 
 class InferenceEngine:
@@ -155,7 +158,9 @@ class InferenceEngine:
                     shard.model_name)
         self._pending: "list[ForecastRequest]" = []
         self._solo_cache: "dict[tuple[str, str], object]" = {}
-        self._lane_cache: "OrderedDict[tuple, Module]" = OrderedDict()
+        self._lane_cache: "OrderedDict[tuple, tuple[Module, int]]" = \
+            OrderedDict()
+        self._lane_cache_bytes = 0
         self._sparse_verdicts: "dict[tuple, bool]" = {}
         self._seq = itertools.count()
         self.stats = {"submitted": 0, "served": 0, "batched": 0,
@@ -332,32 +337,33 @@ class InferenceEngine:
     def _stackable(self, shard: CohortShard) -> bool:
         if lane_blocker(shard.model_name) is not None:
             return False
-        # Stored static verdict gates the batched path; absent verdicts
-        # (old manifests) default to eligible — the fallback still
-        # guards execution.
-        if shard.verdict is not None and not shard.verdict.get("stackable",
-                                                               True):
+        # Stored static serving verdict gates the batched path.  Manifests
+        # written before it existed carry only the training verdict
+        # ("stackable"), which then stands in; absent verdicts default to
+        # eligible — the fallback still guards execution.
+        if shard.verdict is not None and not shard.verdict.get(
+                "batchable", shard.verdict.get("stackable", True)):
             return False
-        if MODEL_REGISTRY[shard.model_name].requires_graph \
-                and self._sparse_routed(shard):
-            return False
-        return True
+        return not self._sparse_routed(shard)
 
     def _sparse_routed(self, shard: CohortShard) -> bool:
-        """Whether any of the shard's graphs routes through the CSR path.
+        """Whether any of the shard's graphs routes a term through CSR.
 
         The lane model is dense-only, while a solo model routes per
-        :func:`repro.nn.sparse.gcn_routes_sparse`; mixing the two would
-        break the solo == batched bitwise contract, so such shards serve
-        eagerly.  Memoized per (shard, mode): the verdict depends only on
-        the stored graphs and the process-wide sparse mode.
+        :func:`repro.models.graph_routes_sparse` (every CSR-routed term
+        of its graph layers counts); mixing the two would break the solo
+        == batched bitwise contract, so such shards serve eagerly.
+        Memoized per (shard, mode): the verdict depends only on the
+        stored graphs and the process-wide sparse mode.
         """
         mode = get_sparse_mode()
         key = (shard.version, shard.model_name, shard.dtype, mode)
         cached = self._sparse_verdicts.get(key)
         if cached is None:
             cached = any(
-                gcn_routes_sparse(artifact.adjacency, shard.dtype, mode)
+                graph_routes_sparse(shard.model_name, artifact.adjacency,
+                                    shard.dtype, mode,
+                                    artifact.model_config)
                 for artifact in shard.artifacts.values()
                 if artifact.adjacency is not None)
             self._sparse_verdicts[key] = cached
@@ -409,13 +415,17 @@ class InferenceEngine:
         cached = self._lane_cache.get(key)
         if cached is not None:
             self._lane_cache.move_to_end(key)
-            return cached
-        cached = stack_lanes([self._solo_model(shard, identifier)
-                              for identifier in identifiers]).eval()
-        self._lane_cache[key] = cached
-        if len(self._lane_cache) > _MAX_STACK_CACHE:
-            self._lane_cache.popitem(last=False)
-        return cached
+            return cached[0]
+        lanes = stack_lanes([self._solo_model(shard, identifier)
+                             for identifier in identifiers]).eval()
+        size = sum(param.data.nbytes for param in lanes.parameters())
+        self._lane_cache[key] = (lanes, size)
+        self._lane_cache_bytes += size
+        while len(self._lane_cache) > 1 and (
+                len(self._lane_cache) > _MAX_STACK_CACHE
+                or self._lane_cache_bytes > _MAX_STACK_CACHE_BYTES):
+            self._lane_cache_bytes -= self._lane_cache.popitem(last=False)[1][1]
+        return lanes
 
     def _run_stacked(self, shard: CohortShard,
                      requests: "list[ForecastRequest]") -> "list":

@@ -17,8 +17,10 @@ process pool: the paper's tables must not depend on the backend.  The
 lane model runs the solo models' own (lane-generic) forwards, so it
 follows the solo path *operation by operation*:
 
-* only ``Linear``, ``GCNConv`` and ``Dropout`` run lane twins; their
-  linear algebra comes from :mod:`repro.nn.stacked_ops`, which runs one
+* only the leaf layers with parameters or graph operators run lane
+  twins (``Linear``, ``GCNConv``, ``Dropout`` for the models that stack;
+  the ASTGCN/MTGNN layers' twins serve only, see below); their linear
+  algebra comes from :mod:`repro.nn.stacked_ops`, which runs one
   solo-shaped GEMM per lane (same flatten, same association order) and
   re-creates the solo graph's per-use transpose nodes so gradient
   *accumulation order* — bitwise visible for parameters used three or
@@ -44,9 +46,11 @@ Eligibility and fallback
 ------------------------
 Not every cell can stack: :func:`stackable_reason` names the blocker
 (a model whose :func:`repro.nn.stack_lanes` clone does not reproduce its
-solo forwards, per :func:`repro.analysis.fastpath.lane_blocker`; non-Adam
-optimizer, exotic callbacks, learned-graph export, sparse-routed graphs,
-...).  :func:`run_stacked` trains the eligible
+solo forwards, per :func:`repro.analysis.fastpath.lane_blocker`, or its
+solo training step, per :func:`repro.analysis.fastpath.lane_step_mismatch`
+— ASTGCN's and MTGNN's learned ``(K, V, V)`` operators have no lane
+backward; non-Adam optimizer, exotic callbacks, learned-graph export,
+sparse-routed graphs, ...).  :func:`run_stacked` trains the eligible
 cells in stacks grouped by (model, seq_len, dtype, data shape, config)
 and returns the rest — plus any stack that failed or diverged — as
 *leftover* indices for the ordinary per-individual path, which keeps its
@@ -70,9 +74,8 @@ from ..autodiff import (Tensor, get_default_dtype, no_grad,
                         set_default_dtype, where)
 from ..autodiff.functional import LOSS_TERMS
 from ..data.splits import split_windows
-from ..models import MODEL_REGISTRY, create_model
+from ..models import create_model, graph_routes_sparse
 from ..nn import stack_lanes
-from ..nn.sparse import gcn_routes_sparse
 from .callbacks import TrainingContext, build_callbacks
 from .faults import is_divergent
 from .history import TrainingHistory
@@ -101,14 +104,22 @@ def stackable_reason(cell: "CohortCell") -> str | None:
 
     The returned string is a human-readable blocker used in diagnostics;
     callers treat ``None`` as "eligible".  Every blocker is a
-    :mod:`repro.analysis.hazards` catalogue entry, and the architecture
-    check is the lane probe :func:`repro.analysis.fastpath.lane_blocker`.
+    :mod:`repro.analysis.hazards` catalogue entry.  The architecture
+    check is the pair of lane probes: the forward probe
+    :func:`repro.analysis.fastpath.lane_blocker` (which alone gates
+    batched serving) and the training-step probe
+    :func:`repro.analysis.fastpath.lane_step_mismatch`.
     """
-    from ..analysis.fastpath import lane_blocker  # fastpath imports us
+    from ..analysis.fastpath import (  # fastpath imports us
+        lane_blocker, lane_step_mismatch)
 
     blocker = lane_blocker(cell.model_name)
     if blocker is not None:
         return blocker
+    detail = lane_step_mismatch(cell.model_name)
+    if detail is not None:
+        return _reason("stack-no-backward", model=cell.model_name,
+                       detail=detail)
     if cell.export_learned_graph:
         return _reason("stack-learned-graph")
     resolved = resolve_trainer_config(cell.model_name, cell.trainer_config)
@@ -121,16 +132,15 @@ def stackable_reason(cell: "CohortCell") -> str | None:
     if unsupported:
         return _reason("stack-callbacks", unsupported=unsupported)
     mode = getattr(cell, "sparse", "auto")
-    if MODEL_REGISTRY[cell.model_name].requires_graph:
-        # The lane ops are dense-only; a cell whose graph routes its solo
-        # GCN layers through CSR must stay solo, or the solo == stacked
-        # bitwise contract would compare a sparse forward against a dense
-        # one.  Static probes (analysis.fastpath) carry no graphs: routing
-        # is then a per-cell runtime property, not a model-level blocker.
-        for graph in getattr(cell, "graphs", ()):
-            if graph is not None and gcn_routes_sparse(graph, cell.dtype,
-                                                       mode):
-                return _reason("stack-sparse", mode=mode)
+    # The lane ops are dense-only; a cell whose graph routes any term of
+    # its solo graph layers through CSR must stay solo, or the solo ==
+    # stacked bitwise contract would compare a sparse forward against a
+    # dense one.  Static probes (analysis.fastpath) carry no graphs:
+    # routing is then a per-cell runtime property, not a model blocker.
+    for graph in getattr(cell, "graphs", ()):
+        if graph is not None and graph_routes_sparse(
+                cell.model_name, graph, cell.dtype, mode, cell.model_config):
+            return _reason("stack-sparse", mode=mode)
     return None
 
 

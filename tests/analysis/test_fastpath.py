@@ -92,7 +92,9 @@ EXPECTED = {
 }
 
 #: Models whose ``stack_lanes`` clone reproduces their solo forwards.
-LANE_MODELS = ("lstm", "tgcn", "a3tgcn")
+LANE_MODELS = ("lstm", "tgcn", "a3tgcn", "astgcn", "mtgnn")
+#: Lane models whose clone also reproduces a solo training step.
+TRAINING_LANE_MODELS = ("lstm", "tgcn", "a3tgcn")
 
 
 class TestVerdicts:
@@ -103,9 +105,12 @@ class TestVerdicts:
         assert verdict.model == name
         assert verdict.traceable is traceable
         assert verdict.stackable is stackable
+        assert verdict.batchable is (name in LANE_MODELS)
         assert {h.key for h in verdict.hazards} == keys
         if not stackable:
             assert verdict.stack_blockers
+        if not verdict.batchable:
+            assert verdict.batch_blockers
 
     def test_unknown_model_is_rejected(self):
         with pytest.raises(ValueError, match="unknown model"):
@@ -163,7 +168,7 @@ class TestLaneBlocker:
             assert repr(name) in blocker
 
     def test_names_the_first_lane_blocker(self):
-        assert "cheb._basis" in fastpath.lane_blocker("astgcn")
+        assert "_coefficients" in fastpath.lane_blocker("var")
 
     def test_unknown_model_is_blocked(self):
         blocker = fastpath.lane_blocker("gpt")
@@ -187,6 +192,79 @@ class TestLaneBlocker:
         cell = SimpleNamespace(model_name="tgcn", export_learned_graph=False,
                                trainer_config=None)
         assert stackable_reason(cell) == blocker
+
+    @pytest.mark.parametrize("name", sorted(MODEL_REGISTRY))
+    def test_lane_step_probe(self, name):
+        cell = SimpleNamespace(model_name=name, export_learned_graph=False,
+                               trainer_config=None)
+        blocker = stackable_reason(cell)
+        if name in TRAINING_LANE_MODELS:
+            assert fastpath.lane_step_mismatch(name) is None
+            assert blocker is None
+        elif name in LANE_MODELS:
+            assert hazards.match_reason(blocker) == "stack-no-backward"
+            assert repr(name) in blocker
+        else:
+            assert hazards.match_reason(blocker) == "stack-no-forward"
+
+    @pytest.mark.parametrize("name,op", [("mtgnn", "lane_propagate"),
+                                         ("astgcn", "lane_mix")])
+    def test_learned_operators_block_lane_training(self, name, op):
+        # MTGNN's learned graph and ASTGCN's attention operators are
+        # (K, V, V) parameters with no lane backward: both models batch
+        # for serving and train solo.
+        detail = fastpath.lane_step_mismatch(name)
+        assert detail.startswith(op) and "requires grad" in detail
+        verdict = registry_verdict(name)
+        assert verdict.batchable and not verdict.stackable
+        assert [hazards.match_reason(b) for b in verdict.stack_blockers] \
+            == ["stack-no-backward"]
+
+    def test_step_probe_catches_per_lane_dropout_bugs(self, monkeypatch):
+        # Every lane drawing from solo 0's generator: eval mode has no
+        # dropout, so only the training probe can see it.
+        from repro.nn import stacked_ops
+
+        def shared_stream(self, shape, dtype):
+            return np.stack([self._solos[0]._draw_mask(shape, dtype)
+                             for _ in self._solos])
+
+        monkeypatch.setattr(fastpath, "_LANE_BLOCKERS", {})
+        monkeypatch.setattr(fastpath, "_LANE_STEP_MISMATCHES", {})
+        monkeypatch.setattr(stacked_ops._LaneDropout, "_draw_masks",
+                            shared_stream)
+        for name in ("lstm", "tgcn", "a3tgcn"):
+            assert fastpath.lane_blocker(name) is None
+            assert fastpath.lane_step_mismatch(name) == \
+                "train-mode lane outputs differ from solo outputs"
+            cell = SimpleNamespace(model_name=name,
+                                   export_learned_graph=False,
+                                   trainer_config=None)
+            assert hazards.match_reason(stackable_reason(cell)) == \
+                "stack-no-backward"
+
+    def test_step_probe_catches_gradient_only_bugs(self, monkeypatch):
+        # A lane op whose forward is right but whose backward is not.
+        from repro.nn import stacked_ops
+
+        lane_affine = stacked_ops.lane_affine
+
+        def skewed_grad(x, weight, bias=None):
+            out = lane_affine(x, weight, bias)
+            backward = out._backward
+
+            def halved(grad):
+                backward(grad * 0.5)
+
+            out._backward = halved
+            return out
+
+        monkeypatch.setattr(fastpath, "_LANE_BLOCKERS", {})
+        monkeypatch.setattr(fastpath, "_LANE_STEP_MISMATCHES", {})
+        monkeypatch.setattr(stacked_ops, "lane_affine", skewed_grad)
+        detail = fastpath.lane_step_mismatch("a3tgcn")
+        assert detail.startswith("lane gradient of ")
+        assert fastpath.lane_blocker("a3tgcn") is None
 
     def test_probe_ignores_the_sparse_mode(self, monkeypatch):
         monkeypatch.setattr(fastpath, "_LANE_BLOCKERS", {})

@@ -31,7 +31,8 @@ def reference(models, identifier, window):
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-@pytest.mark.parametrize("model_name", ["a3tgcn", "lstm", "tgcn"])
+@pytest.mark.parametrize("model_name",
+                         ["a3tgcn", "astgcn", "lstm", "mtgnn", "tgcn"])
 class TestBatchedBitIdentity:
     def test_batched_equals_solo_predict(self, model_name, dtype):
         engine, models, shards = engine_for(model_name, count=4, dtype=dtype)
@@ -198,7 +199,7 @@ class TestFailures:
 
 class TestRouting:
     def test_non_stackable_models_serve_eagerly(self):
-        engine, models, shards = engine_for("mtgnn", count=2)
+        engine, models, shards = engine_for("var", count=2)
         engine.submit("p0")
         engine.submit("p1")
         outcomes = engine.flush()
@@ -227,6 +228,42 @@ class TestRouting:
         finally:
             set_sparse_mode(previous)
         assert engine._stackable(shards[0])
+
+    def test_astgcn_with_a_csr_routed_chebyshev_term_serves_eagerly(self):
+        # At V >= SPARSE_MIN_NODES in auto mode, ChebConv routes T_0 (the
+        # identity) through CSR although a dense graph keeps the GCN
+        # operator dense: the engine must ask the model's own routing and
+        # serve eagerly, not fail a lane build.
+        from repro.models import create_model
+        from repro.nn.sparse import SPARSE_MIN_NODES, gcn_routes_sparse
+        from repro.serving import CohortArtifact
+
+        set_sparse_mode("auto")   # conftest restores the session mode
+        nodes, seq_len = SPARSE_MIN_NODES, 2
+        graph = np.ones((nodes, nodes)) - np.eye(nodes)
+        assert not gcn_routes_sparse(graph, "float64", "auto")
+        artifacts, models = [], {}
+        for i in range(2):
+            model = create_model("astgcn", nodes, seq_len, adjacency=graph,
+                                 seed=i)
+            models[f"p{i}"] = model
+            artifacts.append(CohortArtifact(
+                identifier=f"p{i}", model_name="astgcn", seq_len=seq_len,
+                num_variables=nodes, dtype="float64",
+                state=model.state_dict(), adjacency=graph,
+                window_tail=np.random.default_rng(i).normal(
+                    size=(seq_len, nodes))))
+        shards = build_shards(artifacts)
+        engine = InferenceEngine(shards, max_batch_size=2, max_linger=60.0)
+        assert not engine._stackable(shards[0])
+        engine.submit("p0")
+        outcomes = engine.submit("p1")
+        assert [o.batched for o in outcomes] == [False, False]
+        for outcome in outcomes:
+            window = shards[0].artifacts[outcome.identifier].window_tail
+            np.testing.assert_array_equal(
+                outcome.prediction,
+                reference(models, outcome.identifier, window))
 
     def test_multi_model_store_requires_model_name(self):
         a0, _ = make_artifact("lstm", identifier="p0")

@@ -22,11 +22,13 @@ FAST_MODEL = ModelConfig(hidden_size=8, mtgnn_layers=1, mtgnn_embedding_dim=4)
 
 
 def make_cohort(num_individuals=3, num_variables=5, time_points=50,
-                seed=11, ragged=True, scale_one=None):
+                seed=11, ragged=True, scale_one=None, pairs=False):
+    """``ragged`` lengths split a cohort into stacks; ``pairs`` repeats
+    each length twice, so every stack holds two lanes."""
     rng = np.random.default_rng(seed)
     individuals = []
     for i in range(num_individuals):
-        extra = 4 * i if ragged else 0
+        extra = 4 * (i // 2 if pairs else i) if ragged else 0
         values = rng.normal(size=(time_points + extra, num_variables))
         if scale_one is not None and i == scale_one:
             # Squared error on a 1e200-scale target overflows even float64,
@@ -77,23 +79,42 @@ def assert_identical(serial, stacked):
         assert a.history.stop_reason == b.history.stop_reason
 
 
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """Lane counts of every stack the stacked backend trains."""
+    import repro.training.stacked as stacked_mod
+
+    sizes = []
+    execute = stacked_mod._execute_stack
+
+    def counting(lanes, resolved):
+        sizes.append(len(lanes))
+        return execute(lanes, resolved)
+
+    monkeypatch.setattr(stacked_mod, "_execute_stack", counting)
+    return sizes
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("model", ["lstm", "tgcn", "a3tgcn"])
-    def test_matches_serial_bitwise(self, model):
-        # Ragged lengths split the cohort into several stacks; dropout is
-        # active at the model default, exercising per-lane RNG streams.
-        cohort = make_cohort()
+    def test_matches_serial_bitwise(self, model, stack_sizes):
+        # Ragged lengths split the cohort into several stacks of two
+        # lanes each; dropout is active at the model default, exercising
+        # per-lane RNG streams.
+        cohort = make_cohort(num_individuals=4, pairs=True)
         serial, stacked = run_both(cohort, model, TrainerConfig(epochs=4))
         assert_identical(serial, stacked)
+        assert stack_sizes == [2, 2]
 
     @pytest.mark.parametrize("model", ["lstm", "tgcn", "a3tgcn"])
-    def test_seq_len_one(self, model):
+    def test_seq_len_one(self, model, stack_sizes):
         # seq_len=1 leaves A3TGCN's attention parameter unused (grad None)
         # — the stacked optimizer must replay that pattern too.
         cohort = make_cohort(ragged=False)
         serial, stacked = run_both(cohort, model, TrainerConfig(epochs=4),
                                    seq_len=1)
         assert_identical(serial, stacked)
+        assert stack_sizes == [3]
 
     def test_chunked_stacks(self):
         # stack_size smaller than the group forces multiple chunks.
@@ -285,10 +306,62 @@ class TestLaneMasks:
 
 
 class TestRouting:
-    def test_unstackable_model_falls_back(self):
+    def test_unstackable_model_falls_back(self, stack_sizes):
+        # MTGNN serves through lanes but has no lane training step: its
+        # cells stay solo up front, with the catalogued reason and no
+        # failed-stack warning.
+        from repro.analysis.hazards import match_reason
+
         cohort = make_cohort(ragged=False)
-        serial, stacked = run_both(cohort, "astgcn", TrainerConfig(epochs=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            serial, stacked = run_both(cohort, "mtgnn",
+                                       TrainerConfig(epochs=2))
         assert_identical(serial, stacked)
+        assert stack_sizes == []
+        for result in stacked:
+            reason = result.fallback_reason
+            assert reason.startswith("not stacked: ")
+            assert match_reason(reason[len("not stacked: "):]) == \
+                "stack-no-backward"
+            assert "lane_propagate" in reason
+
+    def test_astgcn_with_a_csr_routed_chebyshev_term_stays_solo(
+            self, stack_sizes, monkeypatch):
+        # At V >= SPARSE_MIN_NODES in auto mode, ChebConv routes T_0 (the
+        # identity, density 1/V) through CSR even when the graph itself
+        # is far above the density crossover, so the GCN operator reads
+        # as dense.  The stack guard must ask the model's own routing.
+        # ASTGCN has no lane training step yet; pretend it has one, so
+        # the cells reach the routing guard instead of failing a stack.
+        from repro.analysis import fastpath
+        from repro.models import graph_routes_sparse
+        from repro.nn.sparse import (SPARSE_MIN_NODES, gcn_routes_sparse,
+                                     set_sparse_mode)
+
+        for dtype in ("float32", "float64"):
+            monkeypatch.setitem(fastpath._LANE_STEP_MISMATCHES,
+                                ("astgcn", dtype), None)
+        set_sparse_mode("auto")   # conftest restores the session mode
+        nodes = SPARSE_MIN_NODES
+        cohort = make_cohort(num_individuals=2, num_variables=nodes,
+                             time_points=20, ragged=False)
+        cells = enumerate_cells(cohort, "astgcn", 2, keep_fraction=1.0,
+                                trainer_config=TrainerConfig(epochs=1),
+                                model_config=FAST_MODEL)
+        graph = cells[0].graphs[0]
+        assert not gcn_routes_sparse(graph, cells[0].dtype, "auto")
+        assert graph_routes_sparse("astgcn", graph, cells[0].dtype, "auto")
+        assert "mode 'auto'" in stackable_reason(cells[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            serial, stacked = run_both(cohort, "astgcn",
+                                       TrainerConfig(epochs=1),
+                                       keep_fraction=1.0)
+        assert_identical(serial, stacked)
+        assert stack_sizes == []
+        assert all("stacked lane-exact" in result.fallback_reason
+                   for result in stacked)
 
     def test_stackable_reason(self):
         cells = enumerate_cells(make_cohort(), "lstm", 2,
@@ -300,9 +373,14 @@ class TestRouting:
             trainer_config=TrainerConfig(epochs=2, optimizer="sgd"))
         assert "optimizer" in stackable_reason(sgd[0])
 
-        astgcn = enumerate_cells(make_cohort(), "astgcn", 2,
-                                 trainer_config=TrainerConfig(epochs=2))
-        assert "no stacked forward" in stackable_reason(astgcn[0])
+        for name in ("astgcn", "mtgnn"):
+            cells = enumerate_cells(make_cohort(), name, 2,
+                                    trainer_config=TrainerConfig(epochs=2))
+            assert "no stacked training step" in stackable_reason(cells[0])
+
+        var = enumerate_cells(make_cohort(), "var", 2,
+                              trainer_config=TrainerConfig(epochs=2))
+        assert "no stacked forward" in stackable_reason(var[0])
 
         timer = enumerate_cells(
             make_cohort(), "lstm", 2,
@@ -445,6 +523,54 @@ class TestLaneOps:
             np.testing.assert_array_equal(bs.grad[k], bk.grad)
 
 
+class TestLaneOpGradients:
+    """The lane forms of the ASTGCN/MTGNN layers' ops, both directions,
+    against the solo op lane by lane (the models train solo today, so no
+    cohort test reaches these backwards)."""
+
+    @staticmethod
+    def _check(lane_op, solo_op, x, p):
+        from repro.autodiff import Tensor
+
+        lx, lp = Tensor(x, requires_grad=True), Tensor(p, requires_grad=True)
+        out = lane_op(lx, lp)
+        seed = np.random.default_rng(5).normal(size=out.shape).astype(x.dtype)
+        out.backward(seed)
+        for k in range(x.shape[0]):
+            sx = Tensor(x[k], requires_grad=True)
+            sp = Tensor(p[k], requires_grad=True)
+            solo = solo_op(sx, sp)
+            solo.backward(seed[k])
+            np.testing.assert_array_equal(out.data[k], solo.data)
+            np.testing.assert_array_equal(lx.grad[k], sx.grad)
+            np.testing.assert_array_equal(lp.grad[k], sp.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matvec_scale_and_2d_bias(self, dtype):
+        from repro.nn.stacked_ops import lane_bias_add, lane_matvec, lane_scale
+
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 5, 4, 2, 7)).astype(dtype)
+        self._check(lane_matvec, lambda a, b: a @ b, x,
+                    rng.normal(size=(3, 7)).astype(dtype))
+        self._check(lane_scale, lambda a, b: a * b, x,
+                    rng.normal(size=(3, 7)).astype(dtype))
+        self._check(lane_bias_add, lambda a, b: a + b, x,
+                    rng.normal(size=(3, 2, 7)).astype(dtype))
+
+    def test_learned_operators_have_no_lane_backward(self):
+        from repro.autodiff import Tensor, no_grad
+        from repro.nn.stacked_ops import lane_mix, lane_propagate
+
+        x = Tensor(np.ones((2, 3, 4, 5)), requires_grad=True)
+        operator = Tensor(np.ones((2, 4, 4)), requires_grad=True)
+        for op in (lane_propagate, lane_mix):
+            with pytest.raises(TypeError, match="no lane backward"):
+                op(operator, x)
+            with no_grad():
+                assert op(operator, x).shape == (2, 3, 4, 5)
+
+
 class TestStackLanes:
     """``repro.nn.stack_lanes`` directly, outside the cohort scheduler."""
 
@@ -484,10 +610,13 @@ class TestStackLanes:
         from repro.nn import stack_lanes
 
         adjacency = np.ones((4, 4))
-        models = [create_model("astgcn", 4, 3, adjacency=adjacency,
-                               config=FAST_MODEL, seed=seed)
+        static = ModelConfig(hidden_size=8, mtgnn_layers=1,
+                             mtgnn_use_graph_learning=False)
+        models = [create_model("mtgnn", 4, 3, adjacency=adjacency,
+                               config=static, seed=seed)
                   for seed in range(2)]
-        with pytest.raises(TypeError, match=r"cheb\._basis .*no lane form"):
+        with pytest.raises(TypeError,
+                           match=r"_static_adjacency .*no lane form"):
             stack_lanes(models)
 
     def test_sparse_routed_gcn_conv_is_refused(self):
