@@ -106,7 +106,7 @@ def _drive(engine, identifiers, rounds: int, expected: dict,
                 err_msg=f"served forecast for {outcome.identifier} diverged "
                         f"from in-process predict")
 
-    check(wave())  # warmup: populate model/stack caches, verify bitwise
+    check(wave())  # warmup: build solo and lane models, verify bitwise
     latencies = []
     start = time.perf_counter()
     for _ in range(rounds):

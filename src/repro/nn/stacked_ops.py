@@ -59,7 +59,7 @@ from functools import partial
 
 import numpy as np
 
-from ..autodiff import Tensor, is_grad_enabled, softmax
+from ..autodiff import Tensor, is_grad_enabled, no_grad, softmax
 from .attention import SpatialAttention, TemporalAttention
 from .conv import TemporalConv2d
 from .dropout import Dropout
@@ -70,7 +70,7 @@ from .normalization import LayerNorm
 
 __all__ = ["BATCHED_LANES", "lane_matmul", "lane_matvec", "lane_bias_add",
            "lane_scale", "lane_affine", "lane_propagate", "lane_mix",
-           "stack_lanes"]
+           "stack_lanes", "LaneSelector"]
 
 
 def _probe_batched_exactness() -> bool:
@@ -447,8 +447,11 @@ def lane_mix(operator, x: Tensor) -> Tensor:
 # Lane models from solo module trees.
 
 
-# A lane twin copies its solo class's plain attributes like any clone; it
-# rebuilds the ones named in ``_derived`` from the K solos in ``_adopt``.
+# A lane twin copies its solo class's plain attributes like any clone.  Its
+# ``_derived`` names the attributes it does not copy: the solo state it has
+# no use for, and the per-lane state ``_adopt`` builds from the K solos.
+# Per-lane state is an array with the lane on axis 0, or a list of such
+# arrays, so ``LaneSelector`` can take rows of it.
 
 
 class _LaneLinear(Module):
@@ -482,10 +485,12 @@ class _LaneDropout(Module):
     """Lane twin of :class:`~repro.nn.Dropout`: lane ``k``'s mask is one
     solo-shaped draw from solo ``k``'s generator, its exact solo stream."""
 
-    _derived = ("rng",)
+    _derived = ("rng", "_solos")
 
     def _adopt(self, solos: list, path: str) -> None:
-        self._solos = solos
+        # An object array, so lane rows select solos like any lane state.
+        self._solos = np.empty(len(solos), dtype=object)
+        self._solos[:] = solos
 
     def _draw_masks(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.stack([solo._draw_mask(shape, dtype) for solo in self._solos])
@@ -682,3 +687,44 @@ def stack_lanes(models) -> Module:
     clone = _clone(models, "")
     clone.num_lanes = len(models)
     return clone
+
+
+def _take_rows(value, rows: np.ndarray):
+    if isinstance(value, list):
+        return [_take_rows(item, rows) for item in value]
+    taken = value[rows]
+    taken.setflags(write=value.flags.writeable)
+    return taken
+
+
+class LaneSelector:
+    """Serve row subsets of one :func:`stack_lanes` model without restacking.
+
+    Captures the model's full ``(K, ...)`` parameter stacks and the
+    per-lane state its twins name in ``_derived``.  :meth:`select` rebinds
+    the model to rows ``rows`` of them (repeats allowed) and returns it,
+    so lane ``j`` of its output is lane ``rows[j]`` of the full model's,
+    bitwise: a fancy-indexed row holds the values and strides of the
+    ``np.stack`` row it was taken from, and no module is cloned or
+    re-adopted.  The model is rebound in place, so one selection is live
+    at a time and the selector is the model's only user.
+    """
+
+    def __init__(self, lanes: Module):
+        self.model = lanes
+        self._parameters = [(param, param.data)
+                            for param in lanes.parameters()]
+        self._lane_state = [(module, name, vars(module)[name])
+                            for module in lanes.modules()
+                            for name in getattr(module, "_derived", ())
+                            if name in vars(module)]
+
+    def select(self, rows) -> Module:
+        rows = np.asarray(rows, dtype=np.intp)
+        with no_grad():
+            for param, stack in self._parameters:
+                param.data = stack[rows]
+        for module, name, stack in self._lane_state:
+            object.__setattr__(module, name, _take_rows(stack, rows))
+        self.model.num_lanes = len(rows)
+        return self.model

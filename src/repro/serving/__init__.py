@@ -6,8 +6,8 @@ Three layers (see DESIGN.md "Forecast serving"):
   persistence of fitted per-individual artifacts (weights, graphs,
   provenance, normalization stats).
 * :mod:`repro.serving.engine` — micro-batching inference engine that
-  runs a :func:`repro.nn.stack_lanes` clone of the batched individuals'
-  models, bit-identical to each individual's solo ``predict``.
+  serves each flush from its shard's one :func:`repro.nn.stack_lanes`
+  model, bit-identical to each individual's solo ``predict``.
 * :mod:`repro.serving.service` — JSONL request/response front end used
   by ``ema-gnn serve``.
 

@@ -15,11 +15,17 @@ mechanism, forward-only:
   linger, like any serving stack's batching window), and windows with
   NaN/inf values are refused at submit time,
 * a flush groups pending requests by shard — the same grouping key the
-  stacked trainer uses for lanes — and runs one
-  :func:`repro.nn.stack_lanes` clone of the requested individuals' solo
-  models (cached per identifier tuple) under ``no_grad`` in eval mode,
-  which makes every batched forecast
-  **bitwise identical** to the individual's solo ``predict``,
+  stacked trainer uses for lanes.  Each batchable shard has one
+  :func:`repro.nn.stack_lanes` model over all of its individuals, built
+  on the shard's first batched flush; a flush runs the
+  :class:`~repro.nn.stacked_ops.LaneSelector` rows of its own requests
+  (repeats allowed) under ``no_grad`` in eval mode, which makes every
+  batched forecast **bitwise identical** to the individual's solo
+  ``predict``,
+* an individual whose solo model does not build is left out of its
+  shard's lane model, so only its own requests go eager (and fail
+  there); a shard whose lane model does not build is recorded once and
+  serves eagerly,
 * models without a lane form (per
   :func:`repro.analysis.fastpath.lane_blocker`), shards whose stored
   fast-path verdict says no, and shards whose graphs route sparse take
@@ -35,6 +41,7 @@ mechanism, forward-only:
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -45,7 +52,8 @@ from ..analysis.fastpath import lane_blocker
 from ..autodiff import Tensor, get_default_dtype, no_grad, set_default_dtype
 from ..data.splits import require_finite
 from ..models import graph_routes_sparse
-from ..nn import Module, stack_lanes
+from ..nn import stack_lanes
+from ..nn.stacked_ops import LaneSelector
 from ..nn.sparse import get_sparse_mode
 from ..training.faults import describe_exception
 from .store import CohortArtifact, CohortShard
@@ -110,12 +118,6 @@ class RequestFailure:
                 f"{self.kind} — {self.error_type}: {self.message}")
 
 
-#: Lane-model cache bounds: entries, and bytes of stacked parameters (a
-#: 7-lane MTGNN clone holds ~0.8 MB, an LSTM or T-GCN one ~0.2 MB).
-_MAX_STACK_CACHE = 32
-_MAX_STACK_CACHE_BYTES = 4 << 20
-
-
 class InferenceEngine:
     """Micro-batching forecast engine over one or more cohort shards.
 
@@ -158,13 +160,14 @@ class InferenceEngine:
                     shard.model_name)
         self._pending: "list[ForecastRequest]" = []
         self._solo_cache: "dict[tuple[str, str], object]" = {}
-        self._lane_cache: "OrderedDict[tuple, tuple[Module, int]]" = \
-            OrderedDict()
-        self._lane_cache_bytes = 0
+        # id(shard) -> (selector, identifier -> lane row), or None when
+        # the shard's lane model did not build.
+        self._shard_lanes: "dict[int, tuple[LaneSelector, dict] | None]" = {}
         self._sparse_verdicts: "dict[tuple, bool]" = {}
         self._seq = itertools.count()
         self.stats = {"submitted": 0, "served": 0, "batched": 0,
-                      "eager": 0, "failed": 0, "flushes": 0}
+                      "eager": 0, "failed": 0, "flushes": 0,
+                      "lane_builds": 0}
 
     # ------------------------------------------------------------------
     # Routing + validation
@@ -219,8 +222,10 @@ class InferenceEngine:
                request_id: str | None = None) -> "list":
         """Enqueue one request; returns outcomes if this triggered a flush.
 
-        Routing/validation problems surface immediately as a returned
-        :class:`RequestFailure` (never enqueued); otherwise the request
+        Routing/validation problems — an unknown individual, a bad
+        window, a ``timeout`` that is not a number of seconds — surface
+        immediately as a returned :class:`RequestFailure` (never
+        enqueued); otherwise the request
         waits for a full batch, a linger expiry (:meth:`poll`) or an
         explicit :meth:`flush`.
         """
@@ -233,13 +238,18 @@ class InferenceEngine:
             model_name, (shard, artifact) = self._resolve(identifier,
                                                           model_name)
             window = self._validated_window(window, shard, artifact)
+            if timeout is not None:
+                timeout = float(timeout)
+                if math.isnan(timeout):
+                    raise ValueError("timeout is NaN; give seconds, or "
+                                     "None for no limit")
         except (KeyError, ValueError, TypeError) as error:
             error_type, message, _ = describe_exception(error)
             self.stats["failed"] += 1
             return [RequestFailure(request_id=request_id,
                                    identifier=identifier, kind="exception",
                                    error_type=error_type, message=message)]
-        deadline = None if timeout is None else now + float(timeout)
+        deadline = None if timeout is None else now + timeout
         self._pending.append(ForecastRequest(
             request_id=request_id, identifier=identifier,
             model_name=model_name, window=window, deadline=deadline,
@@ -371,15 +381,52 @@ class InferenceEngine:
 
     def _run_group(self, shard: CohortShard,
                    requests: "list[ForecastRequest]") -> "list":
+        lanes = None
         if self.use_stacked and len(requests) > 1 and self._stackable(shard):
+            lanes = self._lanes(shard)
+        # Individuals left out of the lane model serve eagerly.
+        batch = [] if lanes is None else [
+            request for request in requests if request.identifier in lanes[1]]
+        served = {}
+        if len(batch) > 1:
             try:
-                return self._run_stacked(shard, requests)
+                served = dict(zip(map(id, batch),
+                                  self._run_stacked(shard, batch)))
             except Exception:  # noqa: BLE001 - isolate: retry eagerly
                 # The batched forward died as a whole; rerun each request
                 # alone so one poisoned input cannot sink its batchmates.
                 pass
-        return [self._run_eager(shard, shard.artifacts[r.identifier], r)
-                for r in requests]
+        return [served.get(id(request)) or self._run_eager(
+                    shard, shard.artifacts[request.identifier], request)
+                for request in requests]
+
+    def _lanes(self, shard: CohortShard):
+        """The shard's lane model over every individual whose solo builds.
+
+        Built on first use and kept for the engine's life; ``None`` when
+        no lane model builds, which is recorded so later flushes go eager
+        without trying again.
+        """
+        key = id(shard)
+        if key in self._shard_lanes:
+            return self._shard_lanes[key]
+        self.stats["lane_builds"] += 1
+        rows, solos = {}, []
+        for identifier in shard.artifacts:
+            try:
+                solo = self._solo_model(shard, identifier)
+            except Exception:  # noqa: BLE001 - its requests fail eagerly
+                continue
+            rows[identifier] = len(solos)
+            solos.append(solo)
+        lanes = None
+        if solos:
+            try:
+                lanes = (LaneSelector(stack_lanes(solos).eval()), rows)
+            except Exception:  # noqa: BLE001 - the shard serves eagerly
+                pass
+        self._shard_lanes[key] = lanes
+        return lanes
 
     def _solo_model(self, shard: CohortShard, identifier: str):
         key = (shard.version, shard.model_name, shard.dtype, identifier,
@@ -408,32 +455,14 @@ class InferenceEngine:
                 kind="exception", error_type=error_type, message=message,
                 elapsed=time.monotonic() - start)
 
-    def _lane_model(self, shard: CohortShard,
-                    identifiers: "tuple[str, ...]") -> Module:
-        key = (shard.version, shard.model_name, shard.dtype,
-               shard.config_digest, identifiers)
-        cached = self._lane_cache.get(key)
-        if cached is not None:
-            self._lane_cache.move_to_end(key)
-            return cached[0]
-        lanes = stack_lanes([self._solo_model(shard, identifier)
-                             for identifier in identifiers]).eval()
-        size = sum(param.data.nbytes for param in lanes.parameters())
-        self._lane_cache[key] = (lanes, size)
-        self._lane_cache_bytes += size
-        while len(self._lane_cache) > 1 and (
-                len(self._lane_cache) > _MAX_STACK_CACHE
-                or self._lane_cache_bytes > _MAX_STACK_CACHE_BYTES):
-            self._lane_cache_bytes -= self._lane_cache.popitem(last=False)[1][1]
-        return lanes
-
     def _run_stacked(self, shard: CohortShard,
                      requests: "list[ForecastRequest]") -> "list":
         start = time.monotonic()
-        lanes = self._lane_model(
-            shard, tuple(request.identifier for request in requests))
+        selector, rows = self._shard_lanes[id(shard)]
+        lanes = selector.select([rows[request.identifier]
+                                 for request in requests])
         # (K, 1, L, V): each request is one sample in its lane.  The
-        # cached lane model stays in eval mode, so no per-call mode toggle.
+        # lane model stays in eval mode, so no per-call mode toggle.
         with no_grad():
             data = lanes(Tensor(np.stack([request.window[None]
                                           for request in requests]))).data

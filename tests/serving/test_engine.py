@@ -63,6 +63,42 @@ class TestBatchedBitIdentity:
         assert all(not outcome.batched for outcome in outcomes)
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_one_lane_build_per_shard(dtype):
+    # Flushes of different subsets, in permuted order, with one individual
+    # twice, all serve from the one lane model each shard built.
+    lane_models = ["a3tgcn", "astgcn", "lstm", "mtgnn", "tgcn"]
+    artifacts, models = [], {}
+    for name in lane_models:
+        for i in range(4):
+            artifact, model = make_artifact(name, dtype, identifier=f"p{i}",
+                                            seed=i)
+            artifacts.append(artifact)
+            models[name, f"p{i}"] = model
+    engine = InferenceEngine(build_shards(artifacts), max_batch_size=100,
+                             max_linger=60.0)
+    rng = np.random.default_rng(7)
+    for flush in (["p0", "p1", "p2"], ["p3", "p1", "p0", "p2"],
+                  ["p2", "p3", "p2"]):
+        sent = []
+        for name in lane_models:
+            for identifier in flush:
+                window = rng.standard_normal((L, V)).astype(dtype)
+                assert engine.submit(identifier, window,
+                                     model_name=name) == []
+                sent.append((name, identifier, window))
+        outcomes = engine.flush()
+        assert len(outcomes) == len(sent)
+        for (name, identifier, window), outcome in zip(sent, outcomes):
+            assert isinstance(outcome, ForecastResponse) and outcome.batched
+            assert (outcome.model_name, outcome.identifier) == \
+                (name, identifier)
+            np.testing.assert_array_equal(
+                outcome.prediction,
+                models[name, identifier].predict(window[None])[0])
+    assert engine.stats["lane_builds"] == len(lane_models)
+
+
 class TestQueue:
     def test_requests_linger_until_flush(self):
         engine, _, _ = engine_for("lstm", count=3, max_batch_size=10,
@@ -195,6 +231,55 @@ class TestFailures:
         assert outcomes["p1"].error_type == "RuntimeError"
         assert isinstance(outcomes["p0"], ForecastResponse)
         assert isinstance(outcomes["p2"], ForecastResponse)
+
+
+    def test_unbuildable_individual_leaves_batchmates_batched(self,
+                                                               monkeypatch):
+        engine, models, shards = engine_for("tgcn", count=3)
+        original = InferenceEngine._solo_model
+
+        def poisoned(self, shard, identifier):
+            if identifier == "p1":
+                raise RuntimeError("model rebuild failed")
+            return original(self, shard, identifier)
+
+        monkeypatch.setattr(InferenceEngine, "_solo_model", poisoned)
+        for _ in range(2):
+            collected = []
+            for identifier in engine.individuals:
+                collected.extend(engine.submit(identifier))
+            outcomes = {o.identifier: o for o in collected}
+            assert isinstance(outcomes["p1"], RequestFailure)
+            assert outcomes["p1"].error_type == "RuntimeError"
+            for identifier in ("p0", "p2"):
+                assert outcomes[identifier].batched
+                window = shards[0].artifacts[identifier].window_tail
+                np.testing.assert_array_equal(
+                    outcomes[identifier].prediction,
+                    reference(models, identifier, window))
+        assert engine.stats["lane_builds"] == 1
+
+    def test_failed_lane_build_is_recorded_once(self, monkeypatch):
+        from repro.serving import engine as engine_module
+
+        def refuse(models):
+            raise TypeError("no lane form")
+
+        monkeypatch.setattr(engine_module, "stack_lanes", refuse)
+        engine, models, shards = engine_for("tgcn", count=3)
+        for _ in range(2):
+            collected = []
+            for identifier in engine.individuals:
+                collected.extend(engine.submit(identifier))
+            assert len(collected) == 3
+            for outcome in collected:
+                assert isinstance(outcome, ForecastResponse)
+                assert not outcome.batched
+                window = shards[0].artifacts[outcome.identifier].window_tail
+                np.testing.assert_array_equal(
+                    outcome.prediction,
+                    reference(models, outcome.identifier, window))
+        assert engine.stats["lane_builds"] == 1
 
 
 class TestRouting:

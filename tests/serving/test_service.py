@@ -50,6 +50,18 @@ class TestForecastService:
         assert len(bad) == 1
         assert bad[0]["error_type"] == "JSONDecodeError"
 
+    @pytest.mark.parametrize("timeout", ['"soon"', "[1]", "NaN"])
+    def test_malformed_timeout_fails_only_its_request(self, store_dir,
+                                                      timeout):
+        service = ForecastService(store_dir)
+        results = service.run(
+            ['{"individual": "p0", "timeout": %s}' % timeout,
+             json.dumps({"individual": "p1"})])
+        assert [r["ok"] for r in results] == [False, True]
+        assert (results[0]["individual"], results[0]["kind"]) == \
+            ("p0", "exception")
+        assert results[0]["error_type"] in ("ValueError", "TypeError")
+
     def test_non_object_request_degrades(self, store_dir):
         service = ForecastService(store_dir)
         results = service.run(["[1, 2, 3]"])

@@ -605,6 +605,42 @@ class TestStackLanes:
             for name, param in solo.named_parameters():
                 np.testing.assert_array_equal(lane_grads[name][k], param.grad)
 
+    def test_selected_rows_match_a_fresh_stack(self):
+        # LaneSelector takes rows of every stacked parameter and of each
+        # twin's per-lane state (GCN operators, dropout solos), repeats
+        # and reorderings included.
+        from repro.autodiff import Tensor, no_grad
+        from repro.models import create_model
+        from repro.nn import stack_lanes
+        from repro.nn.stacked_ops import LaneSelector
+
+        rng = np.random.default_rng(3)
+        models = [create_model("tgcn", 5, 2,
+                               adjacency=np.abs(rng.normal(size=(5, 5))),
+                               config=FAST_MODEL, seed=seed)
+                  for seed in range(3)]
+        selector = LaneSelector(stack_lanes(models).eval())
+        for rows in ([2, 0], [1, 1, 0], [0, 1, 2]):
+            fresh = stack_lanes([models[row] for row in rows]).eval()
+            selected = selector.select(rows)
+            assert selected.num_lanes == len(rows)
+            inputs = Tensor(rng.normal(size=(len(rows), 4, 2, 5)))
+            with no_grad():
+                np.testing.assert_array_equal(selected(inputs).data,
+                                              fresh(inputs).data)
+            for name, param in fresh.named_parameters():
+                np.testing.assert_array_equal(
+                    dict(selected.named_parameters())[name].data, param.data)
+            lane_state = set()
+            for (_, mine), (_, theirs) in zip(selected.named_modules(),
+                                              fresh.named_modules()):
+                for attr in getattr(mine, "_derived", ()):
+                    if attr in vars(mine):
+                        lane_state.add(attr)
+                        np.testing.assert_array_equal(
+                            getattr(mine, attr), getattr(theirs, attr))
+            assert lane_state == {"_propagation", "_solos"}
+
     def test_attribute_without_lane_form_is_named(self):
         from repro.models import create_model
         from repro.nn import stack_lanes
