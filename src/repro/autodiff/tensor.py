@@ -777,10 +777,12 @@ class Tensor:
         weight.reshape(C_out, C * size).T`` is the convolution.
 
         The backward pass is part of the bitwise contract.  It accumulates
-        taps ``j = 0..size-1`` in order onto zeros, and hands the input a
-        ``[..., left_pad:]`` slice of a C-contiguous ``(B, C, N, T +
-        left_pad)`` array, because downstream reductions sum in memory
-        order (DESIGN.md, "Fused temporal windows").
+        taps ``j = 0..size-1`` in order onto zeros.  When the input has no
+        grad yet (so it may borrow this one) it hands the input a ``[...,
+        left_pad:]`` slice of a C-contiguous ``(B, C, N, T + left_pad)``
+        array, because downstream reductions sum in memory order
+        (DESIGN.md, "Fused temporal windows"); when the grad is added onto
+        an existing one it hands a C-contiguous ``(B, C, N, T)`` array.
         """
         if self.ndim != 4:
             raise ValueError(
@@ -818,6 +820,13 @@ class Tensor:
                 if first < t_out:
                     summed[:, :, first + shift:t_out + shift] += \
                         tap_grads[:, :, first:, :, j]
+            if self.grad is not None:
+                # The grad is added onto an existing one, so nobody sees
+                # this array's layout: a contiguous one adds ~25x faster
+                # than the gappy slice, and gives the same values and the
+                # same result layout (equal axis order).
+                self._accumulate(summed.transpose(0, 3, 1, 2).copy())
+                return
             full = np.zeros((b, c, n, t_pad), dtype=grad.dtype)
             np.copyto(full[..., left_pad:], summed.transpose(0, 3, 1, 2))
             self._accumulate(full[..., left_pad:])

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["PairedComparison", "compare_conditions"]
 
@@ -51,6 +50,10 @@ def compare_conditions(scores_a, scores_b) -> PairedComparison:
     b = np.asarray(list(scores_b), dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two aligned 1-D score vectors with n >= 2")
+    # Imported here, not at module level: scipy.stats costs ~1 s and ~70 MB
+    # and this is its only caller (see DESIGN.md "Imports").
+    from scipy import stats as scipy_stats
+
     differences = a - b
     if np.allclose(differences, 0.0):
         wilcoxon_stat, wilcoxon_p = 0.0, 1.0

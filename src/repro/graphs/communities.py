@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["CommunityReport", "detect_communities", "adjusted_rand_index"]
@@ -32,6 +31,10 @@ class CommunityReport:
 
 def detect_communities(adjacency: np.ndarray) -> CommunityReport:
     """Greedy-modularity communities of a weighted undirected graph."""
+    # Imported here, not at module level: this is networkx's only caller
+    # (see DESIGN.md "Imports").
+    import networkx as nx
+
     a = np.asarray(adjacency, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"adjacency must be square, got {a.shape}")

@@ -138,8 +138,9 @@ class InferenceEngine:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got "
                              f"{max_batch_size}")
-        if max_linger < 0:
-            raise ValueError(f"max_linger must be >= 0, got {max_linger}")
+        if not (math.isfinite(max_linger) and max_linger >= 0):
+            raise ValueError(f"max_linger must be finite and >= 0, got "
+                             f"{max_linger}")
         self.max_batch_size = int(max_batch_size)
         self.max_linger = float(max_linger)
         self.use_stacked = bool(use_stacked)

@@ -83,3 +83,62 @@ def test_rejects_bad_arguments():
         x.conv_windows(2, left_pad=-1)
     with pytest.raises(ValueError, match="exceeds"):
         x.conv_windows(3, dilation=2)
+
+
+def old_conv_windows(tensor, size, dilation, left):
+    """``conv_windows`` as it was before its backward skipped the gappy
+    layout: the input always gets a ``[..., left:]`` slice of a padded
+    array, even when that grad is only added onto an existing one."""
+    flat = tensor.detach().conv_windows(size, dilation=dilation,
+                                        left_pad=left).data
+
+    def backward(grad):
+        _, gappy = reference_chain(tensor.data, grad, size, dilation, left)
+        tensor._accumulate(gappy)
+
+    return Tensor._make(flat, (tensor,), backward)
+
+
+@pytest.mark.parametrize("conv_position", [0, 1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("causal", [False, True])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("size", [2, 3])
+def test_grad_added_to_other_consumers_matches_old_path(
+        size, dilation, causal, dtype, conv_position):
+    # MTGNN's conv inputs also feed a residual: the conv's grad lands on a
+    # borrowed grad (position 1) or an owned one (position 2), or is itself
+    # borrowed (position 0).  Values, signbits and strides of the input's
+    # final grad must match the old always-gappy path.
+    t = 5
+    field = (size - 1) * dilation + 1
+    left = max(field - 1 if causal else 0, field - t)
+    t_out = t + left - field + 1
+    rng = np.random.default_rng(size * 100 + dilation * 10 + int(causal))
+    x = with_signed_zeros(rng.normal(size=(3, 4, 2, t)).astype(dtype))
+    conv_grad = with_signed_zeros(
+        rng.normal(size=(3, 2, t_out, 4 * size)).astype(dtype))
+    # One other consumer hands over a permuted view, so the add's result
+    # layout depends on both operands' strides.
+    permuted_grad = with_signed_zeros(
+        rng.normal(size=(t, 2, 4, 3)).astype(dtype))
+    scaled_grad = with_signed_zeros(rng.normal(size=x.shape).astype(dtype))
+
+    def input_grad(conv):
+        hidden = Tensor(x, requires_grad=True) * 1.0
+        others = iter([lambda: hidden.transpose().backward(permuted_grad),
+                       lambda: (hidden * 1.0).backward(scaled_grad)])
+        for position in range(3):
+            if position == conv_position:
+                conv(hidden, size, dilation, left).backward(conv_grad)
+            else:
+                next(others)()
+        return hidden.grad
+
+    got = input_grad(lambda h, k, d, p: h.conv_windows(k, dilation=d,
+                                                       left_pad=p))
+    want = input_grad(old_conv_windows)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.strides == want.strides

@@ -120,6 +120,25 @@ class TestParser:
                 main(argv)
             assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--store", "s", "--max-linger", "nan"],
+        ["serve", "--store", "s", "--max-linger", "inf"],
+        ["serve", "--store", "s", "--max-linger", "-0.5"],
+        ["serve", "--store", "s", "--timeout", "nan"],
+        ["serve", "--store", "s", "--timeout", "inf"],
+        ["table2", "--cell-timeout", "nan"],
+    ])
+    def test_non_finite_seconds_exit_code_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"got {argv[-1]}" in capsys.readouterr().err
+
+    def test_zero_linger_is_accepted(self):
+        args = build_parser().parse_args(
+            ["serve", "--store", "s", "--max-linger", "0"])
+        assert args.max_linger == 0.0
+
     def test_fault_flags_on_experiment_commands(self):
         for command in ("table2", "table3", "fig3"):
             args = build_parser().parse_args(

@@ -130,6 +130,13 @@ class TestQueue:
             engine.submit(identifier)
         assert [o.identifier for o in engine.flush()] == order
 
+    @pytest.mark.parametrize("linger", [float("nan"), float("inf"),
+                                        float("-inf"), -1.0])
+    def test_non_finite_or_negative_linger_is_rejected(self, linger):
+        # A NaN linger would never flush: ``waited >= nan`` is always False.
+        with pytest.raises(ValueError, match=f"max_linger .*got {linger}"):
+            engine_for("lstm", count=2, max_linger=linger)
+
     def test_explicit_window_is_used(self):
         engine, models, _ = engine_for("lstm", count=2)
         rng = np.random.default_rng(99)
