@@ -50,7 +50,6 @@ from ..autodiff.tensor import Tensor, get_default_dtype, no_grad
 from ..autodiff.trace import EpochJIT
 from ..models import MODEL_REGISTRY, ModelConfig, create_model
 from ..nn import stack_lanes
-from ..nn.sparse import get_sparse_mode, set_sparse_mode
 from ..training.personalized import resolve_trainer_config
 from ..training.stacked import stackable_reason
 from ..training.trainer import LOSSES
@@ -301,8 +300,7 @@ def lane_blocker(model_name: str) -> str | None:
     forward of a ``(2, B, L, V)`` input in the default dtype.  The model
     batches only if that output is bitwise ``np.stack`` of the two solo
     outputs; otherwise the ``stack-no-forward`` reason names the error or
-    the mismatch.  Memoized per (model, dtype).  Routing stays dense:
-    sparse routing is a per-cell property the runtime guards check.
+    the mismatch.  Memoized per (model, dtype).
     """
     key = (model_name, np.dtype(get_default_dtype()).name)
     if key not in _LANE_BLOCKERS:
@@ -331,17 +329,13 @@ def lane_step_mismatch(model_name: str) -> str | None:
 
 
 def _probe(check, name: str) -> str | None:
-    """Run one lane probe densely; any exception is the verdict."""
+    """Run one lane probe; any exception is the verdict."""
     if name not in MODEL_REGISTRY:
         return "not a registered model"
-    previous = get_sparse_mode()
-    set_sparse_mode("never")
     try:
         return check(name)
     except Exception as error:  # noqa: BLE001 - any failure blocks
         return str(error) or type(error).__name__
-    finally:
-        set_sparse_mode(previous)
 
 
 def _probe_models(name: str, seq_len: int) -> list:

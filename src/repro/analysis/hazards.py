@@ -53,8 +53,6 @@ HAZARDS: dict[str, str] = {
         "op #{i} ({op}) has no replay rule",
     "lane-propagate-changed":
         "lane_propagate operator stack changed between captured epochs",
-    "csr-operator-changed":
-        "csr_matmul sparse operator changed between captured epochs",
     "const-annotation-changed":
         "constant annotation changed between epochs",
     "const-provider-changed":
@@ -109,9 +107,6 @@ HAZARDS: dict[str, str] = {
         "loss {loss!r} has no lane-wise form",
     "stack-callbacks":
         "callbacks {unsupported} are not lane-maskable",
-    "stack-sparse":
-        "sparse graph propagation (mode {mode!r}) has no stacked "
-        "lane-exact form; cell runs per-individual",
 }
 _PATTERNS: dict[str, "re.Pattern[str]"] = {
     key: _compile(template) for key, template in HAZARDS.items()}

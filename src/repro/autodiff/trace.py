@@ -319,12 +319,6 @@ def _fw_lane_propagate(C, rec):
         C.add_call(rec, "forward", call)
 
 
-def _fw_csr_matmul(C, rec):
-    xd, buf = C.pbuf(rec.parents[0]), rec.tensor._data
-    operator, spread = rec.cv["operator"], rec.cv["_spread"]
-    C.add_call(rec, "forward", lambda: np.copyto(buf, spread(operator, xd)))
-
-
 # -- backward emitters -------------------------------------------------
 def _bw_add_scalar(C, rec):
     C.acc_array(rec, rec.parents[0], C.gbuf(rec))
@@ -584,12 +578,6 @@ def _bw_lane_propagate(C, rec):
         C.acc_fn(rec, rec.parents[0], fn)
 
 
-def _bw_csr_matmul(C, rec):
-    g = C.gbuf(rec)
-    operator, spread = rec.cv["operator"], rec.cv["_spread"]
-    C.acc_fn(rec, rec.parents[0], lambda: spread(operator.T, g))
-
-
 def _verify_where(cv1, cv2):
     # The condition lives in the closure, not in the graph.  The same
     # array object both epochs is a deliberately persistent, externally
@@ -606,16 +594,6 @@ def _verify_lane_propagate(cv1, cv2):
     op1, op2 = cv1["operator"], cv2["operator"]
     if op1 is not op2 and not np.array_equal(op1, op2):
         raise TraceInvalid(_reason("lane-propagate-changed"))
-
-
-def _verify_csr_matmul(cv1, cv2):
-    # The CSR operator is a cached immutable constant
-    # (repro.nn.graphcache), so epochs normally share one object and the
-    # identity check wins; a rebuilt but value-identical operator also
-    # replays.  Anything else means the graph changed under the tape.
-    op1, op2 = cv1["operator"], cv2["operator"]
-    if not op1.same_values(op2):
-        raise TraceInvalid(_reason("csr-operator-changed"))
 
 
 def _verify_getitem(cv1, cv2):
@@ -725,15 +703,6 @@ def _build_rules() -> dict:
             rule(lane_propagate(np.ones((2, 3, 3)), lx), "lane_propagate",
                  _fw_lane_propagate, _bw_lane_propagate,
                  verify=_verify_lane_propagate)
-        try:
-            from ..nn.sparse import CSRMatrix, csr_matmul
-        except ImportError:  # pragma: no cover - nn layer always present
-            pass
-        else:
-            sx = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-            rule(csr_matmul(CSRMatrix.from_dense(np.eye(3)), sx),
-                 "csr_matmul", _fw_csr_matmul, _bw_csr_matmul,
-                 verify=_verify_csr_matmul)
     finally:
         _tensor_mod.set_trace_hook(saved_hook)
     return rules

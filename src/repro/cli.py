@@ -208,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "a fused plan for the rest (bit-"
                                   "identical; unstable graphs fall back "
                                   "to the eager loop automatically)")
-            cmd.add_argument("--sparse", choices=("auto", "always", "never"),
-                             default="auto",
-                             help="dense/sparse graph-kernel routing: "
-                                  "engage the CSR path past the measured "
-                                  "density crossover (auto, default), "
-                                  "force it everywhere (always), or "
-                                  "disable it (never); dense and sparse "
-                                  "agree to rounding, not bitwise")
             cmd.add_argument("--profiler", action="store_true",
                              help="attach the op-level profiler to every "
                                   "fit and print the aggregated hot-op "
@@ -475,8 +467,6 @@ def _config(args):
         config = replace(config, profile=True)
     if getattr(args, "jit", False):
         config = replace(config, jit=True)
-    if getattr(args, "sparse", "auto") != "auto":
-        config = replace(config, sparse=args.sparse)
     return config
 
 

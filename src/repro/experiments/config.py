@@ -78,11 +78,6 @@ class ExperimentConfig:
     #: graphs that the tracer cannot prove stable fall back to eager
     #: automatically (CLI ``--jit``).
     jit: bool = False
-    #: Dense/sparse graph-kernel routing (:mod:`repro.nn.sparse`):
-    #: ``"auto"`` engages the CSR path past the measured density/size
-    #: crossover, ``"always"`` forces it, ``"never"`` disables it
-    #: (CLI ``--sparse``).
-    sparse: str = "auto"
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def trainer_config(self) -> TrainerConfig:
@@ -113,12 +108,6 @@ class ExperimentConfig:
         from ..autodiff import set_default_dtype
 
         set_default_dtype(np.float32 if self.float32 else np.float64)
-
-    def apply_sparse(self) -> None:
-        """Activate this config's sparse routing mode for model builds."""
-        from ..nn.sparse import set_sparse_mode
-
-        set_sparse_mode(self.sparse)
 
 
 PROFILES: dict[str, ExperimentConfig] = {

@@ -58,7 +58,6 @@ def run_experiment_a(dataset: EMADataset, config: ExperimentConfig,
     back to per-individual execution automatically).
     """
     config.apply_dtype()
-    config.apply_sparse()
     trainer_config = config.trainer_config()
     graph_cache = GraphCache()
     columns = tuple(f"Seq{s}" for s in config.seq_lens)

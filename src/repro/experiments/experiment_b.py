@@ -44,7 +44,6 @@ def run_experiment_b(dataset: EMADataset, config: ExperimentConfig,
                      parallel: ParallelConfig | None = None) -> ExperimentBResult:
     """Run the full Table III grid."""
     config.apply_dtype()
-    config.apply_sparse()
     trainer_config = config.trainer_config()
     graph_cache = GraphCache()
     seq_len = TABLE3_SEQ_LEN if TABLE3_SEQ_LEN in config.seq_lens \

@@ -99,7 +99,6 @@ def run_experiment_c(dataset: EMADataset, config: ExperimentConfig,
                      parallel: ParallelConfig | None = None) -> ExperimentCResult:
     """Run the full Fig. 3 pipeline."""
     config.apply_dtype()
-    config.apply_sparse()
     trainer_config = config.trainer_config()
     graph_cache = GraphCache()
     seq_len = FIG3_SEQ_LEN if FIG3_SEQ_LEN in config.seq_lens else max(config.seq_lens)

@@ -6,9 +6,10 @@ asks whether a constructed (or learned) graph *recovers* it: greedy
 modularity communities, the partition's modularity, and agreement with a
 reference labelling (adjusted Rand index via its closed form).
 
-Used by the graph diagnostics in examples and as an interpretability probe
+A library-level interpretability probe, exported from ``repro.graphs``
 for MTGNN-learned graphs (the paper's §VII-B "interpreted for their
-inter-variables connections" direction).
+inter-variables connections" direction); no pipeline or example calls it,
+and ``tests/graphs/test_communities.py`` pins its behaviour.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ from .astgcn import ASTGCN
 from .mtgnn import MTGNN
 from .var import NaiveMeanForecaster, VARForecaster
 from .registry import (MODEL_NAMES, MODEL_REGISTRY, ModelConfig, ModelSpec,
-                       create_model, graph_routes_sparse)
+                       create_model)
 
 __all__ = ["Forecaster", "LSTMForecaster", "TGCNCell", "TGCNForecaster",
            "A3TGCN", "ASTGCN", "MTGNN", "VARForecaster",
            "NaiveMeanForecaster", "ModelConfig", "ModelSpec", "MODEL_NAMES",
-           "MODEL_REGISTRY", "create_model", "graph_routes_sparse"]
+           "MODEL_REGISTRY", "create_model"]

@@ -139,29 +139,15 @@ class MTGNN(Forecaster):
         :func:`repro.nn.graphcache.cached_row_normalized` — the same
         arithmetic :meth:`MixHopPropagation._row_normalize` ran inside the
         autodiff graph on every forward pass — and reused across epochs.
-        When the density autoswitch routes the graph sparse, the pair is
-        returned as :class:`~repro.nn.sparse.CSRMatrix` factorizations of
-        those same cached operators instead (the graph operators are
-        float64 constants, so the decision uses their own dtype).
         """
         if self._static_props is None:
-            from ..nn.graphcache import (cached_row_normalized,
-                                         cached_sparse_row_normalized)
-            from ..nn.sparse import should_use_sparse
+            from ..nn.graphcache import cached_row_normalized
 
             base = self._static_adjacency
-            fwd = cached_row_normalized(base)
-            density = np.count_nonzero(fwd) / fwd.size
-            if should_use_sparse(fwd.shape[0], density, fwd.dtype):
-                self._static_props = (
-                    cached_sparse_row_normalized(base),
-                    cached_sparse_row_normalized(base.T),
-                )
-            else:
-                self._static_props = (
-                    Tensor(fwd),
-                    Tensor(cached_row_normalized(base.T)),
-                )
+            self._static_props = (
+                Tensor(cached_row_normalized(base)),
+                Tensor(cached_row_normalized(base.T)),
+            )
         return self._static_props
 
     # ------------------------------------------------------------------

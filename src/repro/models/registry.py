@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.graph import chebyshev_routes_sparse
-from ..nn.sparse import gcn_routes_sparse
 from .a3tgcn import A3TGCN
 from .astgcn import ASTGCN
 from .base import Forecaster
@@ -27,7 +25,7 @@ from .tgcn import TGCNForecaster
 from .var import NaiveMeanForecaster, VARForecaster
 
 __all__ = ["ModelConfig", "ModelSpec", "MODEL_NAMES", "MODEL_REGISTRY",
-           "create_model", "graph_routes_sparse"]
+           "create_model"]
 
 #: The paper's Table-I gradient-trained grid (kept separate from the full
 #: registry so experiment defaults do not silently widen).
@@ -137,25 +135,3 @@ def create_model(name: str, num_variables: int, seq_len: int,
     raise ValueError(f"unknown model {name!r}; expected one of "
                      f"{tuple(MODEL_REGISTRY)}")
 
-
-def graph_routes_sparse(name: str, adjacency: np.ndarray, dtype=None,
-                        mode=None, config: ModelConfig | None = None) -> bool:
-    """Whether a ``name`` model over ``adjacency`` routes any graph term
-    through the CSR path.
-
-    Asks the routing decisions its graph layers make at construction:
-    :func:`~repro.nn.sparse.gcn_routes_sparse` for T-GCN/A3TGCN's
-    ``GCNConv`` and :func:`~repro.nn.graph.chebyshev_routes_sparse` for
-    each term of ASTGCN's ``ChebConv`` (any CSR-routed term counts).  The
-    dense-only lane paths — the stacked trainer and the batching engine —
-    gate on it, so they cannot disagree with the layers.  Other models
-    route no lane-form layer through CSR.
-    """
-    config = config if config is not None else ModelConfig()
-    name = name.lower()
-    if name in ("tgcn", "a3tgcn"):
-        return gcn_routes_sparse(adjacency, dtype, mode)
-    if name == "astgcn":
-        return any(chebyshev_routes_sparse(adjacency, config.cheb_order,
-                                           dtype, mode))
-    return False

@@ -18,14 +18,12 @@ import numpy as np
 from ..autodiff import Tensor, normalize_adjacency
 from . import init
 from .container import ModuleList
-from .graphcache import (cached_chebyshev_basis, cached_normalized_adjacency,
-                         cached_sparse_chebyshev, cached_sparse_normalized)
+from .graphcache import cached_chebyshev_basis, cached_normalized_adjacency
 from .linear import Linear
 from .module import Module, Parameter
-from .sparse import CSRMatrix, csr_matmul, gcn_routes_sparse, should_use_sparse
 
 __all__ = ["GCNConv", "ChebConv", "MixHopPropagation", "GraphLearner",
-           "chebyshev_routes_sparse", "scaled_laplacian"]
+           "scaled_laplacian"]
 
 
 def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
@@ -45,27 +43,6 @@ def scaled_laplacian(adjacency: np.ndarray) -> np.ndarray:
         # Empty graph: Laplacian is 0 (isolated, no self loops) -> use -I.
         return -np.eye(a.shape[0])
     return 2.0 * laplacian / lam_max - np.eye(a.shape[0])
-
-
-def chebyshev_routes_sparse(adjacency: np.ndarray, order: int, dtype=None,
-                            mode=None) -> tuple[bool, ...]:
-    """Which Chebyshev terms of a :class:`ChebConv` route through CSR.
-
-    The one routing decision for the basis ``T_0 .. T_{order-1}``:
-    :class:`ChebConv` routes each term by it, and the dense-only lane
-    guards (via :func:`repro.models.graph_routes_sparse`) ask the same
-    call.  Terms route independently: ``T_0`` is the identity (density
-    ``1/V``) and low orders can stay sparse, but higher powers of the
-    Laplacian fill in.  ``should_use_sparse`` at density 0 is the most
-    favorable case — if even that stays dense (mode ``never`` or below
-    the node floor), no basis is built here at all.
-    """
-    nodes = np.asarray(adjacency).shape[0]
-    if not should_use_sparse(nodes, 0.0, dtype, mode):
-        return (False,) * order
-    return tuple(should_use_sparse(nodes, np.count_nonzero(t) / t.size,
-                                   t.dtype, mode)
-                 for t in cached_chebyshev_basis(adjacency, order, dtype))
 
 
 class GCNConv(Module):
@@ -91,27 +68,15 @@ class GCNConv(Module):
         graph cache: within an experiment the same individual graph is
         reused across models and sequence lengths, so the normalization
         runs once per distinct adjacency instead of once per model.
-
-        The dense/sparse routing decision is made here, once per graph
-        swap rather than per forward: if
-        :func:`repro.nn.sparse.gcn_routes_sparse` (honoring the
-        process-wide sparse mode) routes sparse, the CSR factorization of
-        the *same* cached operator is fetched and propagation runs
-        through :func:`repro.nn.sparse.csr_matmul`.
         """
         dense = cached_normalized_adjacency(adjacency)
         self._propagation = Tensor(dense)
         self.num_nodes = dense.shape[0]
-        self._sparse = None
-        if gcn_routes_sparse(adjacency, dense.dtype):
-            self._sparse = cached_sparse_normalized(adjacency)
 
     def forward(self, x: Tensor) -> Tensor:
         if x.shape[-2] != self.num_nodes or x.shape[-1] != self.in_features:
             raise ValueError(
                 f"GCNConv expects (..., {self.num_nodes}, {self.in_features}), got {x.shape}")
-        if self._sparse is not None:
-            return self.linear(csr_matmul(self._sparse, x))
         return self.linear(self._propagation @ x)
 
 
@@ -149,13 +114,6 @@ class ChebConv(Module):
         basis = cached_chebyshev_basis(adjacency, self.order)
         self._basis = [Tensor(t) for t in basis]
         self.num_nodes = basis[0].shape[0]
-        routes = chebyshev_routes_sparse(adjacency, self.order)
-        self._sparse_basis: list[CSRMatrix | None] = [None] * self.order
-        if any(routes):
-            self._sparse_basis = [
-                term if sparse else None
-                for term, sparse in zip(
-                    cached_sparse_chebyshev(adjacency, self.order), routes)]
 
     def forward(self, x: Tensor, spatial_attention: Tensor | None = None) -> Tensor:
         """Apply the convolution; supports window-batched inputs.
@@ -187,11 +145,6 @@ class ChebConv(Module):
     def _propagate(self, order: int, x: Tensor,
                    attention: Tensor | None) -> Tensor:
         """``T_order(L~) X``, modulated by ``attention`` when given."""
-        sparse = self._sparse_basis[order]
-        if attention is None and sparse is not None:
-            return csr_matmul(sparse, x)
-        # The attention-modulated operator is per-sample and dense-valued,
-        # so that path never routes sparse.
         t_k = self._basis[order]
         operator = t_k if attention is None else t_k * attention
         return operator @ x
@@ -233,7 +186,7 @@ class MixHopPropagation(Module):
         return a / degree
 
     def forward(self, x: Tensor, adjacency: Tensor | np.ndarray | None = None,
-                *, propagation: Tensor | CSRMatrix | None = None) -> Tensor:
+                *, propagation: Tensor | None = None) -> Tensor:
         """Propagate ``x`` over ``adjacency`` (normalized here) or over a
         precomputed ``propagation`` operator.
 
@@ -242,12 +195,8 @@ class MixHopPropagation(Module):
         ``(A + I) / rowsum`` once via
         :func:`repro.nn.graphcache.cached_row_normalized`, which performs
         the identical arithmetic, instead of re-deriving it every forward
-        pass of every epoch.  It may also be a
-        :class:`~repro.nn.sparse.CSRMatrix` (the autoswitch-routed static
-        path, see :meth:`repro.models.mtgnn.MTGNN._static_propagations`),
-        in which case each hop runs through
-        :func:`~repro.nn.sparse.csr_matmul`.  The learned-graph path keeps
-        passing ``adjacency`` so gradients flow through the normalization.
+        pass of every epoch.  The learned-graph path keeps passing
+        ``adjacency`` so gradients flow through the normalization.
         """
         if propagation is None:
             if adjacency is None:
@@ -270,10 +219,8 @@ class MixHopPropagation(Module):
         return out
 
     @staticmethod
-    def _hop(propagation: Tensor | CSRMatrix, hidden: Tensor) -> Tensor:
+    def _hop(propagation: Tensor, hidden: Tensor) -> Tensor:
         """One propagation step ``Â H`` over the node axis."""
-        if isinstance(propagation, CSRMatrix):
-            return csr_matmul(propagation, hidden)
         return propagation @ hidden
 
 

@@ -26,9 +26,7 @@ import numpy as np
 from ..autodiff import get_default_dtype, normalize_adjacency
 
 __all__ = ["cached_normalized_adjacency", "cached_chebyshev_basis",
-           "cached_row_normalized", "cached_sparse_normalized",
-           "cached_sparse_chebyshev", "cached_sparse_row_normalized",
-           "clear_graph_caches", "cache_info"]
+           "cached_row_normalized", "clear_graph_caches", "cache_info"]
 
 #: Per-cache entry cap.  Entries are ~V×V floats (V = 26 in the paper), so
 #: even the Chebyshev cache stays far below a megabyte; the cap only guards
@@ -38,9 +36,6 @@ _MAX_ENTRIES = 256
 _NORMALIZED: OrderedDict = OrderedDict()
 _CHEB_BASIS: OrderedDict = OrderedDict()
 _ROW_NORMALIZED: OrderedDict = OrderedDict()
-_SPARSE_NORMALIZED: OrderedDict = OrderedDict()
-_SPARSE_CHEB: OrderedDict = OrderedDict()
-_SPARSE_ROW_NORMALIZED: OrderedDict = OrderedDict()
 _COUNTS = {"hits": 0, "misses": 0}
 
 
@@ -129,76 +124,11 @@ def cached_row_normalized(adjacency: np.ndarray) -> np.ndarray:
     return _lookup(_ROW_NORMALIZED, key, build)
 
 
-def cached_sparse_normalized(adjacency: np.ndarray,
-                             add_self_loops: bool = True):
-    """Memoized CSR factorization of the normalized adjacency.
-
-    Built from the dense :func:`cached_normalized_adjacency` entry (the
-    same values the dense path multiplies with — ``to_dense()`` restores
-    them bitwise), so the sparse and dense operators can never drift.
-    The returned :class:`~repro.nn.sparse.CSRMatrix` is immutable and
-    shared across model instances; sharing the same object across epochs
-    is what lets the trace JIT's identity check verify it for free.
-    """
-    from .sparse import CSRMatrix  # local: sparse.py imports the autodiff layer
-
-    dtype = np.dtype(get_default_dtype()).str
-    key = (_fingerprint(adjacency), bool(add_self_loops), dtype)
-
-    def build():
-        dense = cached_normalized_adjacency(adjacency, add_self_loops)
-        return CSRMatrix.from_dense(dense)
-
-    return _lookup(_SPARSE_NORMALIZED, key, build)
-
-
-def cached_sparse_chebyshev(adjacency: np.ndarray, order: int) -> tuple:
-    """Memoized CSR factorizations of the Chebyshev basis terms.
-
-    One :class:`~repro.nn.sparse.CSRMatrix` per ``T_k``; values come from
-    the dense :func:`cached_chebyshev_basis` entry.  Note only ``T_0``
-    (identity) and sometimes ``T_1`` are genuinely sparse — higher-order
-    terms fill in as powers of the Laplacian — which is why
-    :class:`~repro.nn.graph.ChebConv` autoswitches per basis term.
-    """
-    from .sparse import CSRMatrix
-
-    dtype = np.dtype(get_default_dtype()).str
-    key = (_fingerprint(adjacency), int(order), dtype)
-
-    def build():
-        return tuple(CSRMatrix.from_dense(t)
-                     for t in cached_chebyshev_basis(adjacency, order))
-
-    return _lookup(_SPARSE_CHEB, key, build)
-
-
-def cached_sparse_row_normalized(adjacency: np.ndarray):
-    """Memoized CSR factorization of :func:`cached_row_normalized`.
-
-    Row normalization adds self-loops and divides by row sums, so zeros
-    stay zero: structural density matches ``adjacency`` plus diagonal.
-    Used by MTGNN's static propagations and sparse MixHop.
-    """
-    from .sparse import CSRMatrix
-
-    a = np.asarray(adjacency)
-    key = (_fingerprint(a),)
-
-    def build():
-        return CSRMatrix.from_dense(cached_row_normalized(a))
-
-    return _lookup(_SPARSE_ROW_NORMALIZED, key, build)
-
-
 def clear_graph_caches() -> None:
     """Drop every cached graph constant (tests; dtype-churn workloads)."""
     _NORMALIZED.clear()
     _CHEB_BASIS.clear()
     _ROW_NORMALIZED.clear()
-    _SPARSE_NORMALIZED.clear()
-    _SPARSE_CHEB.clear()
-    _SPARSE_ROW_NORMALIZED.clear()
     _COUNTS["hits"] = 0
     _COUNTS["misses"] = 0
 
@@ -207,7 +137,4 @@ def cache_info() -> dict:
     """Hit/miss counters and per-cache sizes (diagnostics)."""
     return {"hits": _COUNTS["hits"], "misses": _COUNTS["misses"],
             "normalized": len(_NORMALIZED), "chebyshev": len(_CHEB_BASIS),
-            "row_normalized": len(_ROW_NORMALIZED),
-            "sparse_normalized": len(_SPARSE_NORMALIZED),
-            "sparse_chebyshev": len(_SPARSE_CHEB),
-            "sparse_row_normalized": len(_SPARSE_ROW_NORMALIZED)}
+            "row_normalized": len(_ROW_NORMALIZED)}

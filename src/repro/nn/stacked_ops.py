@@ -462,17 +462,12 @@ class _LaneLinear(Module):
 
 
 class _LaneGCNConv(Module):
-    """Lane twin of a dense :class:`~repro.nn.GCNConv`: propagate over the
+    """Lane twin of :class:`~repro.nn.GCNConv`: propagate over the
     ``(K, V, V)`` stack of the solo operators, then the lane ``linear``."""
 
-    _derived = ("_propagation", "_sparse")
+    _derived = ("_propagation",)
 
     def _adopt(self, solos: list, path: str) -> None:
-        # The lane ops are dense-only: a solo layer routed through the CSR
-        # path would make lane k differ from solo k in the last bits.
-        if any(solo._sparse is not None for solo in solos):
-            raise TypeError(f"stack_lanes: {path or 'GCNConv'} is "
-                            f"sparse-routed; lane propagation is dense-only")
         operator = np.stack([solo._propagation.data for solo in solos])
         operator.setflags(write=False)
         self._propagation = operator
@@ -506,16 +501,12 @@ class _LaneDropout(Module):
 
 
 class _LaneChebConv(ChebConv):
-    """Lane twin of a dense :class:`~repro.nn.ChebConv`: the solo forward
-    over a stacked ``(K, V, V)`` operator per Chebyshev order."""
+    """Lane twin of :class:`~repro.nn.ChebConv`: the solo forward over a
+    stacked ``(K, V, V)`` operator per Chebyshev order."""
 
-    _derived = ("_basis", "_sparse_basis")
+    _derived = ("_basis",)
 
     def _adopt(self, solos: list, path: str) -> None:
-        if any(term is not None for solo in solos
-               for term in solo._sparse_basis):
-            raise TypeError(f"stack_lanes: {path or 'ChebConv'} is "
-                            f"sparse-routed; lane propagation is dense-only")
         self._basis = []
         for order in range(self.order):
             stacked = np.stack([solo._basis[order].data for solo in solos])

@@ -27,11 +27,10 @@ mechanism, forward-only:
   there); a shard whose lane model does not build is recorded once and
   serves eagerly,
 * models without a lane form (per
-  :func:`repro.analysis.fastpath.lane_blocker`), shards whose stored
-  fast-path verdict says no, and shards whose graphs route sparse take
-  the eager per-request path, and a batched forward that throws falls
-  back to per-request eager execution so one poisoned request cannot
-  take down its batch,
+  :func:`repro.analysis.fastpath.lane_blocker`) and shards whose stored
+  fast-path verdict says no take the eager per-request path, and a
+  batched forward that throws falls back to per-request eager execution
+  so one poisoned request cannot take down its batch,
 * failures are per-request structured records in the
   :class:`~repro.training.faults.CellFailure` vocabulary — a timed-out
   or exploding request yields a :class:`RequestFailure`, never an
@@ -51,10 +50,8 @@ import numpy as np
 from ..analysis.fastpath import lane_blocker
 from ..autodiff import Tensor, get_default_dtype, no_grad, set_default_dtype
 from ..data.splits import require_finite
-from ..models import graph_routes_sparse
 from ..nn import stack_lanes
 from ..nn.stacked_ops import LaneSelector
-from ..nn.sparse import get_sparse_mode
 from ..training.faults import describe_exception
 from .store import CohortArtifact, CohortShard
 
@@ -164,7 +161,6 @@ class InferenceEngine:
         # id(shard) -> (selector, identifier -> lane row), or None when
         # the shard's lane model did not build.
         self._shard_lanes: "dict[int, tuple[LaneSelector, dict] | None]" = {}
-        self._sparse_verdicts: "dict[tuple, bool]" = {}
         self._seq = itertools.count()
         self.stats = {"submitted": 0, "served": 0, "batched": 0,
                       "eager": 0, "failed": 0, "flushes": 0,
@@ -355,30 +351,7 @@ class InferenceEngine:
         if shard.verdict is not None and not shard.verdict.get(
                 "batchable", shard.verdict.get("stackable", True)):
             return False
-        return not self._sparse_routed(shard)
-
-    def _sparse_routed(self, shard: CohortShard) -> bool:
-        """Whether any of the shard's graphs routes a term through CSR.
-
-        The lane model is dense-only, while a solo model routes per
-        :func:`repro.models.graph_routes_sparse` (every CSR-routed term
-        of its graph layers counts); mixing the two would break the solo
-        == batched bitwise contract, so such shards serve eagerly.
-        Memoized per (shard, mode): the verdict depends only on the
-        stored graphs and the process-wide sparse mode.
-        """
-        mode = get_sparse_mode()
-        key = (shard.version, shard.model_name, shard.dtype, mode)
-        cached = self._sparse_verdicts.get(key)
-        if cached is None:
-            cached = any(
-                graph_routes_sparse(shard.model_name, artifact.adjacency,
-                                    shard.dtype, mode,
-                                    artifact.model_config)
-                for artifact in shard.artifacts.values()
-                if artifact.adjacency is not None)
-            self._sparse_verdicts[key] = cached
-        return cached
+        return True
 
     def _run_group(self, shard: CohortShard,
                    requests: "list[ForecastRequest]") -> "list":

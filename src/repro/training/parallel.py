@@ -104,10 +104,6 @@ class CohortCell:
     #: serving store's export path).  Defaulted so cells pickled before
     #: the field existed keep loading from old checkpoints.
     export_state: bool = False
-    #: Sparse routing mode captured at enumeration time; workers re-apply
-    #: it so dense/sparse routing matches a serial run.  Defaulted so
-    #: cells pickled before the field existed keep loading.
-    sparse: str = "auto"
 
     def __post_init__(self):
         if len(self.graphs) != len(self.seeds):
@@ -125,11 +121,9 @@ def execute_cell(cell: CohortCell):
     one code path.
     """
     from ..autodiff import set_default_dtype
-    from ..nn.sparse import set_sparse_mode
     from .personalized import aggregate_repeats, run_individual
 
     set_default_dtype(cell.dtype)
-    set_sparse_mode(cell.sparse)
     repeats = [
         run_individual(cell.individual, cell.model_name, cell.seq_len, graph,
                        graph_method=cell.graph_method,

@@ -25,7 +25,6 @@ from ..graphs import build_adjacency
 from ..graphs.adjacency import GraphMethod
 from ..models import ModelConfig, create_model
 from ..models.mtgnn import MTGNN
-from ..nn.sparse import get_sparse_mode
 from .parallel import CohortCell, GraphCache, ParallelConfig, run_cells
 from .seeding import derive_seed
 from .trainer import Trainer, TrainerConfig
@@ -235,7 +234,6 @@ def enumerate_cells(dataset: EMADataset, model_name: str, seq_len: int,
     cache = graph_cache if graph_cache is not None else GraphCache()
     kwargs_key = tuple(sorted(graph_kwargs.items()))
     dtype = np.dtype(get_default_dtype()).name
-    sparse_mode = get_sparse_mode()
     config_digest = cell_config_digest(train_fraction, graph_kwargs,
                                        trainer_config, model_config)
     cells: list[CohortCell] = []
@@ -284,11 +282,6 @@ def enumerate_cells(dataset: EMADataset, model_name: str, seq_len: int,
             # journaled before the field existed keep their keys — but a
             # weight-exporting run can never be served a stateless result.
             key += "|state"
-        if sparse_mode != "auto":
-            # Same append-only discipline: forced dense/sparse routing
-            # changes low-order float bits, so its results must not be
-            # served from (or journal over) default-mode checkpoints.
-            key += f"|sparse={sparse_mode}"
         cells.append(CohortCell(
             key=key,
             label=f"{model_name}:{graph_method} seq{seq_len} "
@@ -305,7 +298,6 @@ def enumerate_cells(dataset: EMADataset, model_name: str, seq_len: int,
             export_learned_graph=export_learned_graphs,
             dtype=dtype,
             export_state=export_state,
-            sparse=sparse_mode,
         ))
     return cells
 

@@ -49,8 +49,8 @@ Not every cell can stack: :func:`stackable_reason` names the blocker
 solo forwards, per :func:`repro.analysis.fastpath.lane_blocker`, or its
 solo training step, per :func:`repro.analysis.fastpath.lane_step_mismatch`
 — ASTGCN's and MTGNN's learned ``(K, V, V)`` operators have no lane
-backward; non-Adam optimizer, exotic callbacks, learned-graph export,
-sparse-routed graphs, ...).  :func:`run_stacked` trains the eligible
+backward; non-Adam optimizer, exotic callbacks, learned-graph
+export).  :func:`run_stacked` trains the eligible
 cells in stacks grouped by (model, seq_len, dtype, data shape, config)
 and returns the rest — plus any stack that failed or diverged — as
 *leftover* indices for the ordinary per-individual path, which keeps its
@@ -74,7 +74,7 @@ from ..autodiff import (Tensor, get_default_dtype, no_grad,
                         set_default_dtype, where)
 from ..autodiff.functional import LOSS_TERMS
 from ..data.splits import split_windows
-from ..models import create_model, graph_routes_sparse
+from ..models import create_model
 from ..nn import stack_lanes
 from .callbacks import TrainingContext, build_callbacks
 from .faults import is_divergent
@@ -131,16 +131,6 @@ def stackable_reason(cell: "CohortCell") -> str | None:
                          - set(_STACKED_CALLBACKS))
     if unsupported:
         return _reason("stack-callbacks", unsupported=unsupported)
-    mode = getattr(cell, "sparse", "auto")
-    # The lane ops are dense-only; a cell whose graph routes any term of
-    # its solo graph layers through CSR must stay solo, or the solo ==
-    # stacked bitwise contract would compare a sparse forward against a
-    # dense one.  Static probes (analysis.fastpath) carry no graphs:
-    # routing is then a per-cell runtime property, not a model blocker.
-    for graph in getattr(cell, "graphs", ()):
-        if graph is not None and graph_routes_sparse(
-                cell.model_name, graph, cell.dtype, mode, cell.model_config):
-            return _reason("stack-sparse", mode=mode)
     return None
 
 

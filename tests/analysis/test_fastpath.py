@@ -27,7 +27,6 @@ from repro.autodiff import (detect_anomaly, get_default_dtype,
 from repro.autodiff import tensor as tensor_mod
 from repro.data.containers import Individual
 from repro.models import MODEL_REGISTRY, ModelConfig
-from repro.nn.sparse import get_sparse_mode, set_sparse_mode
 from repro.training import TrainerConfig, stackable_reason
 from repro.training.history import TrainingHistory
 from repro.training.personalized import run_individual
@@ -265,16 +264,6 @@ class TestLaneBlocker:
         detail = fastpath.lane_step_mismatch("a3tgcn")
         assert detail.startswith("lane gradient of ")
         assert fastpath.lane_blocker("a3tgcn") is None
-
-    def test_probe_ignores_the_sparse_mode(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_LANE_BLOCKERS", {})
-        previous = get_sparse_mode()
-        set_sparse_mode("always")
-        try:
-            assert fastpath.lane_blocker("tgcn") is None
-            assert get_sparse_mode() == "always"
-        finally:
-            set_sparse_mode(previous)
 
     def test_probe_builds_no_cell_models(self, monkeypatch):
         # Benchmarks count real cell builds at this name.

@@ -11,7 +11,6 @@ restore that after every test.
 import pytest
 
 import repro.autodiff as ad
-from repro.nn import sparse as nn_sparse
 
 
 @pytest.fixture(scope="session")
@@ -24,15 +23,3 @@ def _restore_default_dtype(_session_default_dtype):
     yield
     ad.set_default_dtype(_session_default_dtype)
 
-
-@pytest.fixture(scope="session")
-def _session_sparse_mode():
-    return nn_sparse.get_sparse_mode()
-
-
-@pytest.fixture(autouse=True)
-def _restore_sparse_mode(_session_sparse_mode):
-    # Same rationale as the dtype snapshot: experiment runners may switch
-    # the process-wide sparse routing mode (ExperimentConfig.apply_sparse).
-    yield
-    nn_sparse.set_sparse_mode(_session_sparse_mode)

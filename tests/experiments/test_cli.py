@@ -134,6 +134,13 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"got {argv[-1]}" in capsys.readouterr().err
 
+    def test_removed_sparse_flag_is_a_usage_error(self, micro_tiny, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--sparse", "always"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --sparse always" in \
+            capsys.readouterr().err
+
     def test_zero_linger_is_accepted(self):
         args = build_parser().parse_args(
             ["serve", "--store", "s", "--max-linger", "0"])

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, normalize_adjacency, stack
+from repro.autodiff import (Tensor, get_default_dtype, normalize_adjacency,
+                            set_default_dtype, stack)
+from repro.autodiff.gradcheck import check_gradients
+from repro.graphs import GRAPH_REGISTRY, get_graph_builder
 from repro.nn import ChebConv, GCNConv, MixHopPropagation
 from repro.nn.graph import scaled_laplacian
 from repro.nn.graphcache import (cache_info, cached_chebyshev_basis,
@@ -196,3 +199,67 @@ class TestMTGNNStaticOperators:
         model.set_adjacency(_adjacency(6, seed=19))
         after = model(inputs).data
         assert not np.array_equal(before, after)
+
+
+BUILDER_KWARGS = {"knn": {"k": 3}, "dtw": {"window": 5}}
+
+
+def _builder_graph(name, series):
+    kwargs = dict(BUILDER_KWARGS.get(name, {}))
+    return get_graph_builder(name)(series, gdt=0.4, seed=11, **kwargs)
+
+
+def _graph_layer(name, adjacency, rng):
+    """``(call, layer)``: a graph layer over ``adjacency`` and its forward."""
+    if name == "gcn":
+        layer = GCNConv(3, 3, adjacency, rng=rng)
+        return layer, layer
+    if name == "cheb":
+        layer = ChebConv(3, 3, adjacency, order=3, rng=rng)
+        return layer, layer
+    layer = MixHopPropagation(3, 3, depth=2, rng=rng)
+    operator = Tensor(cached_row_normalized(
+        adjacency.astype(get_default_dtype())))
+    return (lambda x: layer(x, propagation=operator)), layer
+
+
+class TestRegistryGraphsThroughLayers:
+    """Every registered graph builder's graph, ``graphical_lasso``
+    included, drives GCN, Chebyshev and mix-hop propagation forward and
+    backward."""
+
+    @pytest.mark.parametrize("builder", sorted(GRAPH_REGISTRY))
+    @pytest.mark.parametrize("layer", ("gcn", "cheb", "mixhop"))
+    def test_gradients_match_finite_differences(self, builder, layer):
+        set_default_dtype(np.float64)   # conftest restores the session dtype
+        rng = np.random.default_rng(8)
+        adjacency = _builder_graph(builder, rng.standard_normal((40, 7)))
+        call, module = _graph_layer(layer, adjacency,
+                                    np.random.default_rng(42))
+        x = Tensor(rng.standard_normal((2, 7, 3)), requires_grad=True)
+        check_gradients(lambda t, *params: (call(t) ** 2).sum(),
+                        [x, *module.parameters()])
+
+    @pytest.mark.parametrize("builder", sorted(GRAPH_REGISTRY))
+    @pytest.mark.parametrize("layer", ("gcn", "cheb", "mixhop"))
+    def test_float32_tracks_float64(self, builder, layer):
+        rng = np.random.default_rng(8)
+        adjacency = _builder_graph(builder, rng.standard_normal((40, 7)))
+        x_data = rng.standard_normal((2, 7, 3))
+        runs = {}
+        for dtype in (np.float64, np.float32):
+            clear_graph_caches()
+            set_default_dtype(dtype)
+            call, module = _graph_layer(layer, adjacency,
+                                        np.random.default_rng(42))
+            x = Tensor(x_data.astype(dtype), requires_grad=True)
+            out = call(x)
+            (out ** 2).sum().backward()
+            assert out.data.dtype == dtype
+            runs[dtype] = [out.data, x.grad] + [p.grad for p in
+                                                module.parameters()]
+        for single, double in zip(runs[np.float32], runs[np.float64]):
+            assert np.all(np.isfinite(single))
+            scale = max(np.abs(double).max(), 1.0)
+            assert np.abs(single - double).max() / scale <= 1e-4, \
+                f"{builder}/{layer}: float32 drifted from float64"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import repro.autodiff as ad
-from repro.nn.sparse import get_sparse_mode, set_sparse_mode
 from repro.serving import (ForecastResponse, InferenceEngine, ModelStore,
                            RequestFailure, build_shards)
 
@@ -303,37 +302,15 @@ class TestRouting:
                 outcome.prediction,
                 reference(models, outcome.identifier, window))
 
-    def test_sparse_routed_graph_shards_serve_eagerly(self):
-        engine, _, shards = engine_for("tgcn", count=2)
-        lstm_engine, _, lstm_shards = engine_for("lstm", count=2)
-        previous = get_sparse_mode()
-        set_sparse_mode("always")
-        try:
-            assert not engine._stackable(shards[0])
-            # LSTM needs no graph, so the sparse mode cannot block it.
-            assert lstm_engine._stackable(lstm_shards[0])
-            engine.submit("p0")
-            engine.submit("p1")
-            outcomes = engine.flush()
-            assert all(isinstance(o, ForecastResponse) and not o.batched
-                       for o in outcomes)
-        finally:
-            set_sparse_mode(previous)
-        assert engine._stackable(shards[0])
-
-    def test_astgcn_with_a_csr_routed_chebyshev_term_serves_eagerly(self):
-        # At V >= SPARSE_MIN_NODES in auto mode, ChebConv routes T_0 (the
-        # identity) through CSR although a dense graph keeps the GCN
-        # operator dense: the engine must ask the model's own routing and
-        # serve eagerly, not fail a lane build.
+    def test_astgcn_shard_at_128_variables_serves_batched(self):
+        # A dense 128-node graph: every Chebyshev term propagates densely
+        # at any size, so the shard takes the lane path, and each batched
+        # forecast equals the individual's solo predict bitwise.
         from repro.models import create_model
-        from repro.nn.sparse import SPARSE_MIN_NODES, gcn_routes_sparse
         from repro.serving import CohortArtifact
 
-        set_sparse_mode("auto")   # conftest restores the session mode
-        nodes, seq_len = SPARSE_MIN_NODES, 2
+        nodes, seq_len = 128, 2
         graph = np.ones((nodes, nodes)) - np.eye(nodes)
-        assert not gcn_routes_sparse(graph, "float64", "auto")
         artifacts, models = [], {}
         for i in range(2):
             model = create_model("astgcn", nodes, seq_len, adjacency=graph,
@@ -347,10 +324,10 @@ class TestRouting:
                     size=(seq_len, nodes))))
         shards = build_shards(artifacts)
         engine = InferenceEngine(shards, max_batch_size=2, max_linger=60.0)
-        assert not engine._stackable(shards[0])
+        assert engine._stackable(shards[0])
         engine.submit("p0")
         outcomes = engine.submit("p1")
-        assert [o.batched for o in outcomes] == [False, False]
+        assert [o.batched for o in outcomes] == [True, True]
         for outcome in outcomes:
             window = shards[0].artifacts[outcome.identifier].window_tail
             np.testing.assert_array_equal(

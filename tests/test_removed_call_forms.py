@@ -5,10 +5,13 @@ shim (or a second entry point); the supported replacement is listed in
 DESIGN.md's removal table.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
 from repro.data.windows import make_windows
+from repro.experiments import ExperimentConfig
 from repro.graphs import build_adjacency
 from repro.graphs.extended import (mutual_information_adjacency,
                                    partial_correlation_adjacency)
@@ -47,6 +50,7 @@ REMOVED = {
     "MTGNN custom_graph_learner=":
         lambda: MTGNN(5, 2, custom_graph_learner=GraphLearner(5)),
     "class-level Trainer.evaluate": _class_level_evaluate,
+    "ExperimentConfig sparse=": lambda: ExperimentConfig(sparse="never"),
 }
 
 
@@ -54,3 +58,9 @@ REMOVED = {
 def test_removed_form_raises_type_error(form):
     with pytest.raises(TypeError):
         REMOVED[form]()
+
+
+@pytest.mark.parametrize("module", ["repro.nn.sparse"])
+def test_removed_module_does_not_import(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)

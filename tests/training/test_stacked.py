@@ -326,42 +326,22 @@ class TestRouting:
                 "stack-no-backward"
             assert "lane_propagate" in reason
 
-    def test_astgcn_with_a_csr_routed_chebyshev_term_stays_solo(
-            self, stack_sizes, monkeypatch):
-        # At V >= SPARSE_MIN_NODES in auto mode, ChebConv routes T_0 (the
-        # identity, density 1/V) through CSR even when the graph itself
-        # is far above the density crossover, so the GCN operator reads
-        # as dense.  The stack guard must ask the model's own routing.
-        # ASTGCN has no lane training step yet; pretend it has one, so
-        # the cells reach the routing guard instead of failing a stack.
-        from repro.analysis import fastpath
-        from repro.models import graph_routes_sparse
-        from repro.nn.sparse import (SPARSE_MIN_NODES, gcn_routes_sparse,
-                                     set_sparse_mode)
-
-        for dtype in ("float32", "float64"):
-            monkeypatch.setitem(fastpath._LANE_STEP_MISMATCHES,
-                                ("astgcn", dtype), None)
-        set_sparse_mode("auto")   # conftest restores the session mode
-        nodes = SPARSE_MIN_NODES
-        cohort = make_cohort(num_individuals=2, num_variables=nodes,
+    def test_tgcn_cohort_at_128_variables_stacks_bitwise(self, stack_sizes):
+        # 128 variables over a 2% graph: GCNConv propagates densely at any
+        # size and density, so the cohort stacks and matches serial bitwise.
+        cohort = make_cohort(num_individuals=2, num_variables=128,
                              time_points=20, ragged=False)
-        cells = enumerate_cells(cohort, "astgcn", 2, keep_fraction=1.0,
+        cells = enumerate_cells(cohort, "tgcn", 2, keep_fraction=0.02,
                                 trainer_config=TrainerConfig(epochs=1),
                                 model_config=FAST_MODEL)
-        graph = cells[0].graphs[0]
-        assert not gcn_routes_sparse(graph, cells[0].dtype, "auto")
-        assert graph_routes_sparse("astgcn", graph, cells[0].dtype, "auto")
-        assert "mode 'auto'" in stackable_reason(cells[0])
+        assert stackable_reason(cells[0]) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            serial, stacked = run_both(cohort, "astgcn",
+            serial, stacked = run_both(cohort, "tgcn",
                                        TrainerConfig(epochs=1),
-                                       keep_fraction=1.0)
+                                       keep_fraction=0.02)
         assert_identical(serial, stacked)
-        assert stack_sizes == []
-        assert all("stacked lane-exact" in result.fallback_reason
-                   for result in stacked)
+        assert stack_sizes == [2]
 
     def test_stackable_reason(self):
         cells = enumerate_cells(make_cohort(), "lstm", 2,
@@ -654,18 +634,6 @@ class TestStackLanes:
         with pytest.raises(TypeError,
                            match=r"_static_adjacency .*no lane form"):
             stack_lanes(models)
-
-    def test_sparse_routed_gcn_conv_is_refused(self):
-        from repro.nn import GCNConv, stack_lanes
-        from repro.nn.sparse import set_sparse_mode
-
-        set_sparse_mode("always")   # conftest restores the session mode
-        adjacency = np.ones((4, 4))
-        convs = [GCNConv(2, 3, adjacency, rng=np.random.default_rng(seed))
-                 for seed in range(2)]
-        assert convs[0]._sparse is not None
-        with pytest.raises(TypeError, match="sparse-routed"):
-            stack_lanes(convs)
 
     def test_only_lane_clones_accept_a_lane_axis(self):
         from repro.autodiff import Tensor
