@@ -610,25 +610,26 @@ class Tensor:
             # (v, w) @ (..., w, c): graph-propagation hot path.  Flatten the
             # batch into one GEMM instead of a batched matmul over thousands
             # of (v, w) x (w, c) products.
-            v, w = a.shape
             c = b.shape[-1]
             batch_shape = b.shape[:-2]
 
-            def _mix(matrix: np.ndarray, operand: np.ndarray) -> np.ndarray:
-                moved = np.moveaxis(operand, -2, 0).reshape(operand.shape[-2], -1)
-                out = matrix @ moved
-                out = out.reshape(matrix.shape[0], *batch_shape, operand.shape[-1])
+            def _node_major(operand: np.ndarray) -> np.ndarray:
+                # (..., n, c) -> (n, batch * c): the node axis leads the GEMM.
+                return np.moveaxis(operand, -2, 0).reshape(operand.shape[-2], -1)
+
+            def _mix(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
+                out = (matrix @ flat).reshape(matrix.shape[0], *batch_shape, c)
                 return np.moveaxis(out, 0, -2)
 
-            out_data = _mix(a, b)
+            out_data = _mix(a, _node_major(b))
 
             def backward(grad: np.ndarray) -> None:
+                # One node-major copy of the grad feeds both GEMMs.
+                grad_mat = _node_major(grad)
                 if self.requires_grad:
-                    grad_mat = np.moveaxis(grad, -2, 0).reshape(v, -1)
-                    b_mat = np.moveaxis(b, -2, 0).reshape(w, -1)
-                    self._accumulate(grad_mat @ b_mat.T)
+                    self._accumulate(grad_mat @ _node_major(b).T)
                 if other.requires_grad:
-                    other._accumulate(_mix(a.T, grad))
+                    other._accumulate(_mix(a.T, grad_mat))
 
             return Tensor._make(out_data, (self, other), backward)
         out_data = a @ b

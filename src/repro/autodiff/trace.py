@@ -244,8 +244,9 @@ def _fw_matmul_flat(C, rec):
 def _fw_matmul_mix(C, rec):
     a, b = C.pbuf(rec.parents[0]), C.pbuf(rec.parents[1])
     buf = rec.tensor._data
-    mix = rec.cv["_mix"]  # the captured closure itself: guaranteed mirror
-    C.add_call(rec, "forward", lambda: np.copyto(buf, mix(a, b)))
+    # The captured closures themselves: guaranteed mirror.
+    mix, node_major = rec.cv["_mix"], rec.cv["_node_major"]
+    C.add_call(rec, "forward", lambda: np.copyto(buf, mix(a, node_major(b))))
 
 
 def _fw_matmul_general(C, rec):
@@ -457,15 +458,12 @@ def _bw_matmul_flat(C, rec):
 def _bw_matmul_mix(C, rec):
     a, b = C.pbuf(rec.parents[0]), C.pbuf(rec.parents[1])
     g = C.gbuf(rec)
-    v, w, mix = rec.cv["v"], rec.cv["w"], rec.cv["_mix"]
+    mix, node_major = rec.cv["_mix"], rec.cv["_node_major"]
     if C.takes_grad(rec.parents[0]):
-        def fn():
-            grad_mat = np.moveaxis(g, -2, 0).reshape(v, -1)
-            b_mat = np.moveaxis(b, -2, 0).reshape(w, -1)
-            return grad_mat @ b_mat.T
-        C.acc_fn(rec, rec.parents[0], fn)
+        C.acc_fn(rec, rec.parents[0],
+                 lambda: node_major(g) @ node_major(b).T)
     if C.takes_grad(rec.parents[1]):
-        C.acc_fn(rec, rec.parents[1], lambda: mix(a.T, g))
+        C.acc_fn(rec, rec.parents[1], lambda: mix(a.T, node_major(g)))
 
 
 def _bw_matmul_general(C, rec):

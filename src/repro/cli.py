@@ -133,10 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
                              help="override the profile's seed")
             cmd.add_argument("--quiet", action="store_true",
                              help="suppress progress lines")
-        if name in ("table2", "table3"):
-            cmd.add_argument("--out", default=None, metavar="DIR",
-                             help="also write CSV + Markdown results here")
         if name in ("table2", "table3", "fig3"):
+            cmd.add_argument("--out", default=None, metavar="DIR",
+                             help="also write results here (table2/table3: "
+                                  "CSV + Markdown; fig3: per-individual "
+                                  "MSEs at full precision)")
             cmd.add_argument("--jobs", type=_positive_int, default=1,
                              metavar="N",
                              help="worker processes for the cohort loop "
@@ -353,6 +354,18 @@ def _export_table(result, command: str, out_dir: str,
     ]
     for path in written:
         print(f"wrote {path}")
+
+
+def _export_fig3(result, out_dir: str) -> None:
+    from pathlib import Path
+
+    from .evaluation import write_distributions_csv
+
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    path = write_distributions_csv(directory / "fig3_per_individual.csv",
+                                   result.distributions)
+    print(f"wrote {path}")
 
 
 def _fallback_summaries(result) -> dict:
@@ -736,7 +749,9 @@ def main(argv: list[str] | None = None) -> int:
     explain = getattr(args, "explain_fallbacks", False)
     if explain:
         _report_fallbacks(result)
-    if getattr(args, "out", None) and args.command in ("table2", "table3"):
+    if args.out and args.command == "fig3":
+        _export_fig3(result, args.out)
+    elif args.out:
         _export_table(result, args.command, args.out,
                       fallback_reasons=_fallback_summaries(result)
                       if explain else None)

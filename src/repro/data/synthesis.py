@@ -101,6 +101,17 @@ class SynthesisConfig:
             raise ValueError("event_rate must be in [0, 1]")
         if not 0.0 <= self.low_compliance_fraction <= 1.0:
             raise ValueError("low_compliance_fraction must be in [0, 1]")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in!r}")
+        lo, hi = self.noise_scale
+        if not 0.0 <= lo <= hi:
+            raise ValueError("noise_scale must satisfy 0 <= lo <= hi, "
+                             f"got {self.noise_scale!r}")
+        if not self.event_scale >= 0.0:
+            raise ValueError(f"event_scale must be >= 0, got {self.event_scale!r}")
+        for name in ("compliance_alpha", "compliance_beta"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
     @property
     def scheduled_beeps(self) -> int:
@@ -150,7 +161,15 @@ def _scale_spectral_radius(matrix: np.ndarray, target: float) -> np.ndarray:
 def _event_shocks(num_steps: int, num_active: int, config: SynthesisConfig,
                   lags: np.ndarray, loadings: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
-    """Exogenous event input: per-community shocks with per-variable lag."""
+    """Exogenous event input: per-community shocks with per-variable lag.
+
+    An event at beep ``t`` adds ``(amplitude * loading) * decay[d]`` to
+    member ``v`` at beep ``t + lags[v] + d``.  The decay steps are applied
+    from the last one down, so every cell receives its shocks in ascending
+    event time; within one step no cell is hit twice, so each fancy-index
+    ``+=`` is exact and the sums match an event-by-event loop bitwise.
+    """
+    # Rows past num_steps absorb the tails of late events (lag 2 + decay 2).
     shocks = np.zeros((num_steps + 4, num_active))
     decay = np.array([1.0, 0.6, 0.3])
     for community in _COMMUNITY_SLICES:
@@ -158,13 +177,26 @@ def _event_shocks(num_steps: int, num_active: int, config: SynthesisConfig,
         times = np.nonzero(events)[0]
         amplitudes = rng.normal(0.0, config.event_scale, size=times.size)
         members = np.arange(community.start, community.stop)
-        for t, amp in zip(times, amplitudes):
-            for v in members:
-                start = t + int(lags[v])
-                for d, dec in enumerate(decay):
-                    if start + d < shocks.shape[0]:
-                        shocks[start + d, v] += amp * loadings[v] * dec
+        rows = times[:, None] + lags[members]                 # (events, members)
+        values = amplitudes[:, None] * loadings[members]
+        for d in range(decay.size - 1, -1, -1):
+            shocks[rows + d, members] += values * decay[d]
     return shocks[:num_steps]
+
+
+def _simulate_var(coefficients: np.ndarray, shocks: np.ndarray,
+                  noise_scale: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Latent VAR(1) path: ``state = coefficients @ state + shock + noise``."""
+    steps, num_active = shocks.shape
+    latent = np.zeros((steps, num_active))
+    state = rng.standard_normal(num_active)
+    # One draw of every step's innovations: the same stream, in the same
+    # order, as one standard_normal(num_active) call per step.
+    noise = noise_scale * rng.standard_normal((steps, num_active))
+    for t in range(steps):
+        state = coefficients @ state + shocks[t] + noise[t]
+        latent[t] = state
+    return latent
 
 
 def generate_individual(identifier: str, config: SynthesisConfig,
@@ -187,11 +219,7 @@ def generate_individual(identifier: str, config: SynthesisConfig,
     shocks = _event_shocks(steps, num_active, config, lags, loadings, rng)
     noise_scale = rng.uniform(*config.noise_scale, size=num_active)
 
-    latent = np.zeros((steps, num_active))
-    state = rng.standard_normal(num_active)
-    for t in range(steps):
-        state = coefficients @ state + shocks[t] + noise_scale * rng.standard_normal(num_active)
-        latent[t] = state
+    latent = _simulate_var(coefficients, shocks, noise_scale, rng)
     latent = latent[config.burn_in:]
     # Standardize latent scale so Likert anchors are comparable across people.
     latent = (latent - latent.mean(axis=0)) / (latent.std(axis=0) + 1e-9)

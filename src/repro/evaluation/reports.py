@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 
 from .metrics import CohortScore
 
-__all__ = ["write_table_csv", "write_table_markdown", "write_per_individual_csv"]
+__all__ = ["write_table_csv", "write_table_markdown", "write_per_individual_csv",
+           "write_distributions_csv"]
 
 
 def write_table_csv(path, rows: Mapping[str, Mapping[str, CohortScore]],
@@ -100,4 +101,22 @@ def write_per_individual_csv(path, rows: Mapping[str, Mapping[str, CohortScore]]
                     continue
                 for index, value in enumerate(cell.per_individual):
                     writer.writerow([label, column, index, f"{value:.6f}"])
+    return path
+
+
+def write_distributions_csv(path, distributions) -> Path:
+    """Write Fig. 3's per-individual MSEs at full precision (long format).
+
+    One row per (model, condition, identifier) of each distribution's
+    ``per_individual`` mapping.  ``test_mse`` is ``repr(float(value))``,
+    which round-trips a float64 exactly: equal text means equal bits.
+    """
+    path = Path(path)
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["model", "condition", "identifier", "test_mse"])
+        for dist in distributions:
+            for identifier, value in dist.per_individual.items():
+                writer.writerow([dist.model, dist.condition, identifier,
+                                 repr(float(value))])
     return path

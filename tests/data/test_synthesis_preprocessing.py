@@ -29,6 +29,21 @@ class TestSynthesisConfig:
         with pytest.raises(ValueError):
             SynthesisConfig(event_rate=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("burn_in", -5),
+        ("noise_scale", (1.0, 0.5)),
+        ("noise_scale", (-0.5, 1.0)),
+        ("event_scale", -1.0),
+        ("event_scale", float("nan")),
+        ("compliance_alpha", 0.0),
+        ("compliance_beta", 0.0),
+    ])
+    def test_rejects_unusable_values_naming_the_field(self, field, value):
+        # Each would otherwise surface only as a bare numpy error from
+        # inside generate_cohort ("a <= 0", "scale < 0", ...).
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SynthesisConfig(**{field: value})
+
 
 class TestGenerateCohort:
     def test_cohort_size_and_variables(self, small_cohort):

@@ -45,11 +45,12 @@ class TestParser:
         args = build_parser().parse_args(["fig3", "--seed", "123"])
         assert args.seed == 123
 
-    def test_out_only_for_tables(self):
-        args = build_parser().parse_args(["table2", "--out", "/tmp/x"])
-        assert args.out == "/tmp/x"
+    def test_out_only_for_experiments(self):
+        for command in ("table2", "table3", "fig3"):
+            args = build_parser().parse_args([command, "--out", "/tmp/x"])
+            assert args.out == "/tmp/x"
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig3", "--out", "/tmp/x"])
+            build_parser().parse_args(["cohort", "--out", "/tmp/x"])
 
     def test_jobs_flag_on_experiment_commands(self):
         for command in ("table2", "table3", "fig3"):
@@ -278,6 +279,35 @@ class TestTableRuns:
                      "--out", str(out_dir)]) == 0
         assert (out_dir / "table3.csv").exists()
         assert (out_dir / "table3_per_individual.csv").exists()
+
+    def test_fig3_out_writes_every_per_individual_value_exactly(
+            self, micro_tiny, tmp_path, monkeypatch, capsys):
+        import csv
+
+        import repro.cli
+
+        results, run_experiment_c = [], repro.cli.run_experiment_c
+
+        def recording(*args, **kwargs):
+            results.append(run_experiment_c(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(repro.cli, "run_experiment_c", recording)
+        out_dir = tmp_path / "fig3"
+        assert main(["fig3", "--profile", "tiny", "--quiet",
+                     "--out", str(out_dir)]) == 0
+        assert "wrote" in capsys.readouterr().out
+        with (out_dir / "fig3_per_individual.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["model", "condition", "identifier", "test_mse"]
+        want = [(dist.model, dist.condition, identifier, value)
+                for dist in results[0].distributions
+                for identifier, value in dist.per_individual.items()]
+        assert want and len(rows) - 1 == len(want)
+        for (model, condition, identifier, text), expected in zip(rows[1:],
+                                                                  want):
+            assert (model, condition, identifier) == expected[:3]
+            assert float(text).hex() == float(expected[3]).hex()
 
     def test_jobs_serial_parallel_equivalence(self, micro_tiny, tmp_path,
                                               capsys):
