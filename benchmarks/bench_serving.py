@@ -15,7 +15,7 @@ request, the pre-PR-9 serving story.  Two assertions ride along:
 * **bit identity** (unconditional): every batched forecast must equal
   the individual's in-process solo ``predict`` bit-for-bit, at every K.
 * **speedup**: the ISSUE target is >=3x forecasts/sec at K=32 over the
-  sequential baseline.  Like ``bench_stacked``/``bench_jit``, the target
+  sequential baseline.  Like ``bench_stacked``, the target
   is always *reported* and enforced only under ``REPRO_BENCH_STRICT=1``;
   the pytest entry point asserts a conservative floor instead, since how
   far past 3x a host lands depends on how dispatch-bound the solo

@@ -37,7 +37,7 @@ def _compile(template: str) -> "re.Pattern[str]":
 # ---------------------------------------------------------------------------
 # The catalogue.
 # ---------------------------------------------------------------------------
-#: Stable key (``"getitem-fancy"``, ``"stack-loss"``, ...) -> the
+#: Stable key (``"where-data-dependent"``, ``"stack-loss"``, ...) -> the
 #: ``str.format`` template producing the runtime diagnostic.
 HAZARDS: dict[str, str] = {
     # -- trace verification hazards (autodiff/trace.py) --------------------
@@ -45,12 +45,6 @@ HAZARDS: dict[str, str] = {
         "where() condition is recomputed per epoch (data-dependent "
         "mask); only a persistent externally-updated mask array can "
         "be replayed",
-    "getitem-fancy":
-        "fancy (integer-array) indexing is not replayable",
-    "matmul-1d":
-        "matmul with a 1-D operand is not replayable",
-    "op-unsupported":
-        "op #{i} ({op}) has no replay rule",
     "lane-propagate-changed":
         "lane_propagate operator stack changed between captured epochs",
     "const-annotation-changed":
@@ -73,9 +67,7 @@ HAZARDS: dict[str, str] = {
     "shape-changed":
         "op #{i} ({op}) output changed shape/dtype: {before} vs {after}",
     "scalar-operands-changed":
-        "op #{i} ({op}) scalar operands changed",
-    "signature-unreadable":
-        "op #{i} ({op}) signature unreadable: {error}",
+        "op #{i} ({op}) static fields changed",
     "arity-changed":
         "op #{i} ({op}) arity changed",
     "requires-grad-flipped":

@@ -267,7 +267,7 @@ class _DataWriteVisitor(ast.NodeVisitor):
 def _check_data_writes(ctx: FileContext) -> Iterator[Finding]:
     """Mutating tensor storage mid-graph corrupts gradients.
 
-    Backward closures read their inputs' *current* values, so a write
+    VJP kernels read their inputs' *current* values, so a write
     between forward and backward silently differentiates the wrong data.
     The runtime version counter catches this at backward() time; the lint
     rule catches it at review time.

@@ -7,9 +7,10 @@ with the same semantics (dynamic graph, ``backward()`` accumulating into
 ``.grad``).
 
 The engine supports full numpy broadcasting.  Every differentiable operation
-records its parents and a closure computing the local vector-Jacobian
-product; :meth:`Tensor.backward` walks the graph in reverse topological
-order.
+is a :class:`~repro.autodiff.primitive.Primitive` declared below: a node
+records its parents, its primitive and the primitive's static fields, and
+:meth:`Tensor.backward` walks the graph in reverse topological order,
+calling each primitive's vector-Jacobian kernels.
 
 Only the operations required by the models in :mod:`repro.models` are
 implemented, but each is implemented generally (arbitrary ranks, arbitrary
@@ -26,6 +27,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .anomaly import is_anomaly_enabled, user_frame_summary
+from .primitive import (Primitive, elementwise, into, matmul, reshaped,
+                        unbroadcast as _unbroadcast)
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor",
            "set_default_dtype", "get_default_dtype"]
@@ -70,26 +73,6 @@ def is_grad_enabled() -> bool:
     return _GRAD_ENABLED
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so it matches ``shape`` after a broadcast op.
-
-    Numpy broadcasting may have (a) prepended axes and (b) stretched
-    length-1 axes.  The adjoint of broadcasting is summation over exactly
-    those axes.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum away prepended axes.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over axes that were stretched from length 1.
-    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if stretched:
-        grad = grad.sum(axis=stretched, keepdims=True)
-    return grad
-
-
 def as_tensor(value, dtype=None) -> "Tensor":
     """Coerce ``value`` (Tensor, ndarray, scalar, nested list) to a Tensor."""
     if isinstance(value, Tensor):
@@ -111,26 +94,6 @@ class _Version:
         self.value = 0
 
 
-_OP_NAME_CACHE: dict = {}
-
-
-def _op_name(backward: Callable) -> str:
-    """Human-readable op name for a backward closure.
-
-    Backward closures are defined inside the op that created them, so the
-    enclosing function's name is recoverable from ``__qualname__``
-    (``'Tensor.__mul__.<locals>.backward'`` -> ``'__mul__'``).  Keyed by
-    the (shared, per-definition-site) code object so the parse runs once.
-    """
-    code = backward.__code__
-    name = _OP_NAME_CACHE.get(code)
-    if name is None:
-        head = backward.__qualname__.split(".<locals>", 1)[0]
-        name = head.rsplit(".", 1)[-1]
-        _OP_NAME_CACHE[code] = name
-    return name
-
-
 _BACKWARD_OP_HOOK: Callable[[str, float, float, int], None] | None = None
 
 
@@ -138,7 +101,7 @@ def set_backward_op_hook(hook: Callable | None) -> None:
     """Install a per-op timing probe for :meth:`Tensor.backward`.
 
     ``hook(op_name, start, end, grad_nbytes)`` is called after each node's
-    backward closure runs, with ``time.perf_counter`` stamps.  Pass ``None``
+    VJP kernels run, with ``time.perf_counter`` stamps.  Pass ``None``
     to uninstall.  This is the profiler's entry point
     (:mod:`repro.profiling`); the disabled path costs one local ``is None``
     test per graph node, so an unprofiled ``backward()`` is unaffected.
@@ -162,6 +125,404 @@ def set_trace_hook(hook: Callable | None) -> None:
     _TRACE_HOOK = hook
 
 
+# ----------------------------------------------------------------------
+# The primitives.  Each VJP's ``out=None`` result is exactly what the
+# eager engine hands the parent (values and layout); see primitive.py.
+# Where an operand is a temporary, that result is the operator form's:
+# ``g * (1.0 - y ** 2)`` may compute in the temporary's buffer, and keep
+# its layout, where ``np.multiply`` would allocate in ``g``'s.
+# ----------------------------------------------------------------------
+def _add_grad(ctx, g, y, xs, i, out=None):
+    return into(_unbroadcast(g, xs[i].shape), out)
+
+
+def _pass_grad(ctx, g, y, xs, i, out=None):
+    return into(g, out)
+
+
+def _mul_grad(ctx, g, y, xs, i, out=None):
+    other = xs[1 - i]
+    return elementwise(lambda o: np.multiply(g, other, out=o), g,
+                       xs[i].shape, out)
+
+
+def _div_grad(ctx, g, y, xs, i, out=None):
+    a, b = xs
+    if i == 0:
+        return elementwise(lambda o: np.divide(g, b, out=o), g, a.shape, out)
+    return elementwise(lambda o: -g * a / (b ** 2) if o is None else np.divide(
+        np.multiply(np.negative(g, out=o), a, out=o), b ** 2, out=o),
+        g, b.shape, out)
+
+
+def _sigmoid(x, out=None):
+    # Numerically stable logistic via tanh: sigma(x) = (tanh(x/2) + 1)/2.
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.multiply(out, 0.5, out=out)
+
+
+def _sigmoid_grad(ctx, g, y, xs, i, out=None):
+    if out is None:
+        return g * y * (1.0 - y)
+    return np.multiply(np.multiply(g, y, out=out), 1.0 - y, out=out)
+
+
+def _tanh_grad(ctx, g, y, xs, i, out=None):
+    if out is None:
+        return g * (1.0 - y ** 2)
+    return np.multiply(g, 1.0 - y ** 2, out=out)
+
+
+def _clip_grad(ctx, g, y, xs, i, out=None):
+    (x,), (low, high) = xs, ctx
+    inside = np.ones_like(x, dtype=bool)
+    if low is not None:
+        inside &= x > low
+    if high is not None:
+        inside &= x < high
+    return np.multiply(g, inside, out=out)
+
+
+ADD = Primitive("__add__", np.add, (_add_grad, _add_grad),
+                examples=(([(3, 4), (4,)], lambda a, b: a + b),))
+ADD_SCALAR = Primitive(
+    "__add__", np.add, (_pass_grad,), fuse="interior",
+    examples=(([(3, 4)], lambda x: x + 1.5),))
+NEG = Primitive(
+    "__neg__", np.negative,
+    (lambda ctx, g, y, xs, i, out=None: np.negative(g, out=out),),
+    fuse="interior", examples=(([(3, 4)], lambda x: -x),))
+MUL_SCALAR = Primitive(
+    "__mul__", np.multiply,
+    (lambda ctx, g, y, xs, i, out=None: np.multiply(g, ctx, out=out),),
+    fuse="interior", examples=(([(3, 4)], lambda x: x * 1.5),))
+MUL = Primitive("__mul__", np.multiply, (_mul_grad, _mul_grad),
+                examples=(([(3, 4), (3, 1)], lambda a, b: a * b),))
+DIV = Primitive("__truediv__", np.divide, (_div_grad, _div_grad),
+                examples=(([(3, 4), (4,)], lambda a, b: a / b),))
+POW = Primitive(
+    "__pow__", lambda x, exponent, out=None: into(x ** exponent, out),
+    (lambda ctx, g, y, xs, i, out=None:
+     into(g * ctx * xs[0] ** (ctx - 1), out),),
+    examples=(([(3, 4)], lambda x: x ** 2), ([(3, 4)], lambda x: x ** 3)))
+EXP = Primitive(
+    "exp", np.exp,
+    (lambda ctx, g, y, xs, i, out=None: np.multiply(g, y, out=out),),
+    fuse="terminal", examples=(([(3, 4)], lambda x: x.exp()),))
+LOG = Primitive(
+    "log", np.log,
+    (lambda ctx, g, y, xs, i, out=None: np.divide(g, xs[0], out=out),),
+    examples=(([(3, 4)], lambda x: x.log()),))
+SQRT = Primitive(
+    "sqrt", np.sqrt,
+    (lambda ctx, g, y, xs, i, out=None: g * 0.5 / y if out is None
+     else np.divide(np.multiply(g, 0.5, out=out), y, out=out),),
+    fuse="terminal", examples=(([(3, 4)], lambda x: x.sqrt()),))
+TANH = Primitive(
+    "tanh", np.tanh,
+    (_tanh_grad,),
+    fuse="terminal", examples=(([(3, 4)], lambda x: x.tanh()),))
+SIGMOID = Primitive(
+    "sigmoid", _sigmoid,
+    (_sigmoid_grad,),
+    fuse="terminal", examples=(([(3, 4)], lambda x: x.sigmoid()),))
+RELU = Primitive(
+    "relu", lambda x, out=None: into(np.where(x > 0, x, 0.0), out),
+    (lambda ctx, g, y, xs, i, out=None: np.multiply(g, xs[0] > 0, out=out),),
+    examples=(([(3, 4)], lambda x: (x - 1.0).relu()),))
+LEAKY_RELU = Primitive(
+    "leaky_relu",
+    lambda x, slope, out=None: into(np.where(x > 0, x, slope * x), out),
+    (lambda ctx, g, y, xs, i, out=None:
+     into(g * np.where(xs[0] > 0, 1.0, ctx), out),),
+    examples=(([(3, 4)], lambda x: (x - 1.0).leaky_relu(0.1)),))
+ABS = Primitive(
+    "abs", np.absolute,
+    (lambda ctx, g, y, xs, i, out=None:
+     np.multiply(g, np.sign(xs[0]), out=out),),
+    examples=(([(3, 4)], lambda x: (x - 1.0).abs()),))
+CLIP = Primitive(
+    "clip", lambda x, bounds, out=None: np.clip(x, *bounds, out=out),
+    (_clip_grad,), examples=(([(3, 4)], lambda x: x.clip(0.75, 1.25)),
+                             ([(3, 4)], lambda x: x.clip(None, 1.0))))
+
+
+# -- products ------------------------------------------------------------
+def _node_major(x: np.ndarray) -> np.ndarray:
+    """``(..., n, c) -> (n, batch * c)``: the node axis leads the GEMM."""
+    return np.moveaxis(x, -2, 0).reshape(x.shape[-2], -1)
+
+
+def _mix(matrix: np.ndarray, flat: np.ndarray, shape, out=None) -> np.ndarray:
+    """``matrix @ flat`` as ``shape`` ``(..., n, c)``: the node axis moved
+    back to -2 of the C-contiguous ``(n, ..., c)`` product."""
+    if out is not None:
+        rows = np.moveaxis(out, -2, 0)
+        if rows.flags.c_contiguous and \
+                out.dtype == np.result_type(matrix, flat):
+            np.matmul(matrix, flat, out=rows.reshape(matrix.shape[0], -1))
+            return out
+        return into(_mix(matrix, flat, shape), out)
+    product = (matrix @ flat).reshape(shape[-2], *shape[:-2], shape[-1])
+    return np.moveaxis(product, 0, -2)
+
+
+def _node_major_grad(ctx, g, out=None):
+    if out is None:
+        return _node_major(g)
+    moved = np.moveaxis(g, -2, 0)
+    np.copyto(out.reshape(moved.shape), moved)
+    return out
+
+
+def _flat_grad(ctx, g2, y, xs, i, out=None):
+    a, b = xs
+    if i == 0:
+        return matmul(g2, b.T, out, a.shape)
+    return matmul(a.reshape(-1, b.shape[0]).T, g2, out)
+
+
+def _mix_grad(ctx, gm, y, xs, i, out=None):
+    a, b = xs
+    if i == 0:
+        return matmul(gm, _node_major(b).T, out)
+    return _mix(a.T, gm, b.shape, out)
+
+
+def _matmul(a, b, out=None):
+    if a.ndim >= 2 and b.ndim >= 2:
+        return matmul(a, b, out)
+    return into(a @ b, out)
+
+
+def _matmul_grad(ctx, g, y, xs, i, out=None):
+    a, b = xs
+    if a.ndim == 1 and b.ndim == 1:
+        # (n,) @ (n,) -> (): grad is a scalar.
+        return into(g * xs[1 - i], out)
+    axes = list(range(g.ndim))
+    if i == 0:
+        if b.ndim == 1:
+            # (..., n) @ (n,) -> (...,): grad_a[..., n] = grad[...] * b[n]
+            return into(g[..., None] * b, out)
+        bt = np.swapaxes(b, -1, -2)
+        if a.ndim == 1:
+            # (n,) @ (..., n, m) -> (..., m): contract grad with b over
+            # every axis except b's node axis.
+            return into(np.tensordot(g, bt, axes=(axes, axes)), out)
+        if g.shape[:-2] == a.shape[:-2]:
+            return matmul(g, bt, out)
+        return into(_unbroadcast(g @ bt, a.shape), out)
+    if a.ndim == 1:
+        # grad_b[..., n, m] = a[n] * grad[..., m]
+        return into(_unbroadcast(a[:, None] * g[..., None, :], b.shape), out)
+    if b.ndim == 1:
+        # grad_b[n] = sum grad[...] * a[..., n]
+        return into(np.tensordot(g, a, axes=(axes, axes)), out)
+    at = np.swapaxes(a, -1, -2)
+    if g.shape[:-2] == b.shape[:-2]:
+        return matmul(at, g, out)
+    return into(_unbroadcast(at @ g, b.shape), out)
+
+
+# (..., k) @ (k, m): the batch axes collapse into one big GEMM — numpy's
+# batched matmul over thousands of tiny matrices is far slower.  Both
+# VJPs read one 2-D copy of the grad.
+MATMUL_FLAT = Primitive(
+    "__matmul__",
+    lambda a, b, out=None: matmul(a.reshape(-1, b.shape[0]), b, out,
+                                  a.shape[:-1] + b.shape[1:]),
+    (_flat_grad, _flat_grad),
+    prepare=lambda ctx, g, out=None: reshaped(g, (-1, g.shape[-1]), out),
+    examples=(([(2, 3, 4), (4, 5)], lambda a, b: a @ b),))
+# (v, w) @ (..., w, c): the batch flattens into one GEMM instead of a
+# batched matmul over (v, w) x (w, c) products; one node-major copy of the
+# grad feeds both VJPs.
+MATMUL_MIX = Primitive(
+    "__matmul__",
+    lambda a, b, out=None: _mix(a, _node_major(b),
+                                b.shape[:-2] + (a.shape[0], b.shape[-1]),
+                                out),
+    (_mix_grad, _mix_grad), prepare=_node_major_grad,
+    examples=(([(3, 3), (2, 3, 4)], lambda a, b: a @ b),))
+MATMUL = Primitive(
+    "__matmul__", _matmul, (_matmul_grad, _matmul_grad),
+    examples=tuple(
+        (shapes, lambda a, b: a @ b)
+        for shapes in ([(3, 4), (4, 2)], [(2, 3, 4), (2, 4, 2)],
+                       [(4,), (4,)], [(3, 4), (4,)], [(4,), (2, 4, 3)])))
+
+
+# -- reductions ----------------------------------------------------------
+def _sum_grad(ctx, g, y, xs, i, out=None):
+    axis, keepdims = ctx
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    if out is None:
+        out = np.empty(xs[0].shape, dtype=g.dtype)
+    np.copyto(out, g)  # broadcast back over the summed axes
+    return out
+
+
+def _max_grad(ctx, g, y, xs, i, out=None):
+    axis, keepdims = ctx
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+        y = np.expand_dims(y, axis)
+    mask = xs[0] == y
+    counts = mask.sum(axis=axis, keepdims=True)
+    return into(np.broadcast_to(g, xs[0].shape) * mask / counts, out)
+
+
+SUM = Primitive(
+    "sum", lambda x, fields, out=None: np.sum(x, axis=fields[0],
+                                              keepdims=fields[1], out=out),
+    (_sum_grad,), examples=(([(3, 4)], lambda x: x.sum()),
+                            ([(3, 4)], lambda x: x.sum(axis=0)),
+                            ([(3, 4)], lambda x: x.sum(axis=1,
+                                                      keepdims=True))))
+MAX = Primitive(
+    "max", lambda x, fields, out=None: np.max(x, axis=fields[0],
+                                              keepdims=fields[1], out=out),
+    (_max_grad,), examples=(([(3, 4)], lambda x: x.max(axis=1)),
+                            ([(3, 4)], lambda x: x.max())))
+
+
+# -- shape manipulation ----------------------------------------------------
+def _taps(ctx, t_out: int) -> list[tuple[int, int, int]]:
+    """``(j, shift, first)`` per tap: output step ``o`` of tap ``j`` reads
+    input step ``o + shift``; outputs before ``first`` read the padding."""
+    size, dilation, left_pad = ctx
+    return [(j, j * dilation - left_pad,
+             min(max(0, left_pad - j * dilation), t_out))
+            for j in range(size)]
+
+
+def _conv_windows(x, ctx, out=None):
+    size, dilation, left_pad = ctx
+    b, c, n, t = x.shape
+    t_out = t + left_pad - (size - 1) * dilation
+    if out is None:
+        windows = np.empty((b, n, t_out, c, size), dtype=x.dtype)
+    elif out.flags.c_contiguous:
+        windows = out.reshape(b, n, t_out, c, size)
+    else:
+        return into(_conv_windows(x, ctx), out)
+    source = x.transpose(0, 2, 3, 1)  # (B, N, T, C) view
+    for j, shift, first in _taps(ctx, t_out):
+        windows[:, :, :first, :, j] = 0.0
+        if first < t_out:
+            windows[:, :, first:, :, j] = \
+                source[:, :, first + shift:t_out + shift]
+    return windows.reshape(b, n, t_out, c * size) if out is None else out
+
+
+def _conv_windows_grad(ctx, g, y, xs, i, out=None):
+    # Taps j = 0..size-1 accumulate in order onto zeros.  A borrowing input
+    # gets a [..., left_pad:] slice of a C-contiguous padded array, since
+    # downstream reductions sum in memory order (DESIGN.md, "Fused temporal
+    # windows"); an added grad gets the C-contiguous out the engine passes.
+    size, dilation, left_pad = ctx
+    b, c, n, t = xs[0].shape
+    t_out = g.shape[2]
+    tap_grads = g.reshape(b, n, t_out, c, size)
+    summed = np.zeros((b, n, t, c), dtype=g.dtype)
+    for j, shift, first in _taps(ctx, t_out):
+        if first < t_out:
+            summed[:, :, first + shift:t_out + shift] += \
+                tap_grads[:, :, first:, :, j]
+    if out is not None:
+        np.copyto(out, summed.transpose(0, 3, 1, 2))
+        return out
+    full = np.zeros((b, c, n, t + left_pad), dtype=g.dtype)
+    np.copyto(full[..., left_pad:], summed.transpose(0, 3, 1, 2))
+    return full[..., left_pad:]
+
+
+def _getitem_grad(ctx, g, y, xs, i, out=None):
+    key, fancy = ctx
+    if out is None:
+        out = np.zeros(xs[0].shape, dtype=g.dtype)
+    else:
+        out.fill(0)
+    if fancy:
+        np.add.at(out, key, g)
+    else:
+        out[key] += g
+    return out
+
+
+_FANCY_ROWS = np.array([2, 0, 2])  # a fixed fancy key for the examples
+
+RESHAPE = Primitive(
+    "reshape", reshaped,
+    (lambda ctx, g, y, xs, i, out=None: reshaped(g, xs[0].shape, out),),
+    examples=(([(3, 4)], lambda x: x.reshape(2, 6)),
+              ([(3, 4)], lambda x: x.T.reshape(-1))))
+TRANSPOSE = Primitive(
+    "transpose",
+    lambda x, fields, out=None: into(x.transpose(fields[0]), out),
+    (lambda ctx, g, y, xs, i, out=None: into(g.transpose(ctx[1]), out),),
+    examples=(([(2, 3, 4)], lambda x: x.transpose(1, 2, 0)),))
+GETITEM = Primitive(
+    "__getitem__", lambda x, fields, out=None: into(x[fields[0]], out),
+    (_getitem_grad,), examples=(([(3, 4)], lambda x: x[1:, ::2]),
+                                ([(3, 4)], lambda x: x[_FANCY_ROWS])))
+CONV_WINDOWS = Primitive(
+    "conv_windows", _conv_windows, (_conv_windows_grad,),
+    dense_accumulate=True,
+    examples=(([(2, 3, 2, 5)], lambda x: x.conv_windows(2, 2, 1)),))
+
+
+# -- graph-combining ops ---------------------------------------------------
+def _concat_grad(ctx, g, y, xs, i, out=None):
+    axis, offsets = ctx
+    window = [slice(None)] * g.ndim
+    window[axis] = slice(offsets[i], offsets[i + 1])
+    return into(g[tuple(window)], out)
+
+
+def _where(a, b, cond, out=None):
+    if out is None:
+        return np.where(cond, a, b)
+    np.copyto(out, b)
+    np.copyto(out, a, where=cond)
+    return out
+
+
+def _where_grad(ctx, g, y, xs, i, out=None):
+    picked = np.where(ctx, g, 0.0) if i == 0 else np.where(ctx, 0.0, g)
+    return into(_unbroadcast(picked, xs[i].shape), out)
+
+
+_MASK = np.array([True, False, True, True])  # a fixed condition for examples
+
+CONCAT = Primitive(
+    "concat",
+    lambda *args, out=None: np.concatenate(args[:-1], axis=args[-1][0],
+                                           out=out),
+    _concat_grad,
+    examples=(([(2, 3), (2, 2)], lambda a, b: concat([a, b], axis=1)),))
+STACK = Primitive(
+    "stack",
+    lambda *args, out=None: np.stack(args[:-1], axis=args[-1], out=out),
+    lambda ctx, g, y, xs, i, out=None: into(np.moveaxis(g, ctx, 0)[i], out),
+    examples=(([(2, 3), (2, 3)], lambda a, b: stack([a, b], axis=1)),))
+WHERE = Primitive(
+    "where", _where, (_where_grad, _where_grad), operand="mask",
+    examples=(([(3, 4), (4,)], lambda a, b: where(_MASK, a, b)),))
+
+
+def _unary_method(op: Primitive):
+    """A ``Tensor`` method applying the one-parent primitive ``op``."""
+    def method(self) -> "Tensor":
+        return Tensor._make(op.forward(self._data), (self,), op)
+    method.__name__ = op.name
+    return method
+
+
 class Tensor:
     """A numpy array plus gradient bookkeeping.
 
@@ -179,7 +540,7 @@ class Tensor:
     #: it exists only on the few tensors the trace JIT annotates (dropout
     #: masks, softmax shifts), and readers use ``getattr(t, "_trace_src",
     #: None)``, so ordinary tensor creation pays nothing for the slot.
-    __slots__ = ("_data", "grad", "requires_grad", "_backward", "_parents",
+    __slots__ = ("_data", "grad", "requires_grad", "_op", "_ctx", "_parents",
                  "_grad_owned", "_version", "_parent_versions", "_trace",
                  "_trace_src")
 
@@ -190,7 +551,8 @@ class Tensor:
         self._data: np.ndarray = array
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad)
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._op: Primitive | None = None
+        self._ctx = None
         self._parents: tuple[Tensor, ...] = ()
         self._grad_owned: bool = False
         self._version: _Version = _Version()
@@ -283,14 +645,18 @@ class Tensor:
     # Graph construction
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data: np.ndarray, parents: Sequence["Tensor"],
-              backward: Callable[[np.ndarray], None]) -> "Tensor":
-        """Create a result tensor, wiring the graph only when needed."""
+    def _make(data: np.ndarray, parents: Sequence["Tensor"], op: Primitive,
+              ctx=None) -> "Tensor":
+        """Create ``op``'s result tensor, wiring the graph only when needed.
+
+        ``ctx`` holds the op's static fields, which its kernels read.
+        """
         out = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
-            out._backward = backward
+            out._op = op
+            out._ctx = ctx
             out._parent_versions = tuple(p._version.value for p in parents)
             if is_anomaly_enabled():
                 out._trace = user_frame_summary()
@@ -305,7 +671,7 @@ class Tensor:
         # persistent grads (Parameters, user inputs) always own a copy so
         # later in-place updates (optimizers, clipping) cannot alias.
         if self.grad is None:
-            is_leaf = not self._parents and self._backward is None
+            is_leaf = not self._parents and self._op is None
             if is_leaf:
                 self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
                 self._grad_owned = True
@@ -343,23 +709,7 @@ class Tensor:
                 raise ValueError(
                     f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}")
 
-        # Reverse topological order over the dynamic graph.
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
-
+        topo = topological_order(self)
         anomaly = is_anomaly_enabled()
         if anomaly and not np.all(np.isfinite(grad)):
             raise RuntimeError(
@@ -367,35 +717,27 @@ class Tensor:
                 "gradient")
         self._accumulate(grad)
         hook = _BACKWARD_OP_HOOK
-        # Hot-path memoization: op names are resolved through the
-        # per-definition-site cache with one local dict probe per node —
-        # the ``__qualname__`` parse in ``_op_name`` runs only on the
-        # first-ever encounter of each op's backward code object.
-        op_names = _OP_NAME_CACHE
         for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+            op = node._op
+            if op is None or node.grad is None:
                 continue
             if node._parent_versions is not None:
                 for index, (parent, expected) in enumerate(
                         zip(node._parents, node._parent_versions)):
                     if parent._version.value != expected:
                         raise RuntimeError(
-                            f"autodiff: input {index} of op "
-                            f"'{_op_name(node._backward)}' (shape "
-                            f"{parent.shape}) was mutated in place after "
-                            f"the forward pass (version "
+                            f"autodiff: input {index} of op '{op.name}' "
+                            f"(shape {parent.shape}) was mutated in place "
+                            f"after the forward pass (version "
                             f"{parent._version.value}, expected {expected});"
                             " backward() would compute gradients from stale"
                             " values")
             if hook is None:
-                node._backward(node.grad)
+                _run_vjps(node, op)
             else:
-                backward_fn = node._backward
                 begin = _perf_counter()
-                backward_fn(node.grad)
-                name = op_names.get(backward_fn.__code__)
-                hook(name if name is not None else _op_name(backward_fn),
-                     begin, _perf_counter(), node.grad.nbytes)
+                _run_vjps(node, op)
+                hook(op.name, begin, _perf_counter(), node.grad.nbytes)
             if anomaly:
                 for index, parent in enumerate(node._parents):
                     if parent.requires_grad and parent.grad is not None \
@@ -403,42 +745,25 @@ class Tensor:
                         where_made = ("" if node._trace is None
                                       else f"\n  op created at {node._trace}")
                         raise RuntimeError(
-                            f"detect_anomaly: op '{_op_name(node._backward)}'"
-                            f" produced a non-finite gradient for its input "
-                            f"{index} (shape {parent.shape}){where_made}")
+                            f"detect_anomaly: op '{op.name}' produced a "
+                            f"non-finite gradient for its input {index} "
+                            f"(shape {parent.shape}){where_made}")
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
-            # Python scalars: keep the array dtype and skip a graph node.
-            # The keyword-only default pins the scalar operand onto the
-            # closure object (``__kwdefaults__``) where the trace JIT can
-            # recover it; the backward math itself never reads it.
-            def backward_scalar(grad: np.ndarray, *,
-                                _scalar: float = other) -> None:
-                self._accumulate(grad)
-
-            return Tensor._make(self.data + other, (self,), backward_scalar)
+            # Python scalars keep the array dtype and add no graph node.
+            return Tensor._make(ADD_SCALAR.forward(self._data, other),
+                                (self,), ADD_SCALAR, other)
         other = as_tensor(other)
-        out_data = self.data + other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(ADD.forward(self._data, other._data),
+                            (self, other), ADD)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
-
-        return Tensor._make(-self.data, (self,), backward)
+    __neg__ = _unary_method(NEG)
 
     def __sub__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
@@ -452,20 +777,11 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
-            def backward_scalar(grad: np.ndarray) -> None:
-                self._accumulate(grad * other)
-
-            return Tensor._make(self.data * other, (self,), backward_scalar)
+            return Tensor._make(MUL_SCALAR.forward(self._data, other),
+                                (self,), MUL_SCALAR, other)
         other = as_tensor(other)
-        out_data = self.data * other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(grad * self.data, other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(MUL.forward(self._data, other._data),
+                            (self, other), MUL)
 
     __rmul__ = __mul__
 
@@ -473,16 +789,8 @@ class Tensor:
         if isinstance(other, (int, float)):
             return self * (1.0 / other)
         other = as_tensor(other)
-        out_data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(grad / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-grad * self.data / (other.data ** 2), other.shape))
-
-        return Tensor._make(out_data, (self, other), backward)
+        return Tensor._make(DIV.forward(self._data, other._data),
+                            (self, other), DIV)
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other) / self
@@ -490,182 +798,46 @@ class Tensor:
     def __pow__(self, exponent) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ supports scalar exponents only")
-
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(POW.forward(self._data, exponent), (self,), POW,
+                            exponent)
 
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / out_data)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data ** 2))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic via tanh: sigma(x) = (tanh(x/2) + 1)/2.
-        out_data = 0.5 * (np.tanh(0.5 * self.data) + 1.0)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, 0.0)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return Tensor._make(out_data, (self,), backward)
+    exp = _unary_method(EXP)
+    log = _unary_method(LOG)
+    sqrt = _unary_method(SQRT)
+    tanh = _unary_method(TANH)
+    sigmoid = _unary_method(SIGMOID)
+    relu = _unary_method(RELU)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, negative_slope * self.data)
+        return Tensor._make(LEAKY_RELU.forward(self._data, negative_slope),
+                            (self,), LEAKY_RELU, negative_slope)
 
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.where(mask, 1.0, negative_slope))
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out_data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign)
-
-        return Tensor._make(out_data, (self,), backward)
+    abs = _unary_method(ABS)
 
     def clip(self, low: float | None, high: float | None) -> "Tensor":
         """Clamp values; gradient is passed through only inside the window."""
-        out_data = np.clip(self.data, low, high)
-        inside = np.ones_like(self.data, dtype=bool)
-        if low is not None:
-            inside &= self.data > low
-        if high is not None:
-            inside &= self.data < high
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * inside)
-
-        return Tensor._make(out_data, (self,), backward)
+        bounds = (low, high)
+        return Tensor._make(CLIP.forward(self._data, bounds), (self,), CLIP,
+                            bounds)
 
     # ------------------------------------------------------------------
     # Linear algebra
     # ------------------------------------------------------------------
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        a, b = self.data, other.data
+        a, b = self._data, other._data
         if b.ndim == 2 and a.ndim > 2:
-            # (..., k) @ (k, m): collapse the batch axes into one big GEMM —
-            # numpy's batched matmul over thousands of tiny matrices is far
-            # slower than a single large one.  This is the Linear-layer hot
-            # path for every model in the repo.
-            k, m = b.shape
-            lead = a.shape[:-1]
-            out_data = (a.reshape(-1, k) @ b).reshape(*lead, m)
-
-            def backward(grad: np.ndarray) -> None:
-                grad2d = grad.reshape(-1, m)
-                if self.requires_grad:
-                    self._accumulate((grad2d @ b.T).reshape(a.shape))
-                if other.requires_grad:
-                    other._accumulate(a.reshape(-1, k).T @ grad2d)
-
-            return Tensor._make(out_data, (self, other), backward)
-        if a.ndim == 2 and b.ndim > 2:
-            # (v, w) @ (..., w, c): graph-propagation hot path.  Flatten the
-            # batch into one GEMM instead of a batched matmul over thousands
-            # of (v, w) x (w, c) products.
-            c = b.shape[-1]
-            batch_shape = b.shape[:-2]
-
-            def _node_major(operand: np.ndarray) -> np.ndarray:
-                # (..., n, c) -> (n, batch * c): the node axis leads the GEMM.
-                return np.moveaxis(operand, -2, 0).reshape(operand.shape[-2], -1)
-
-            def _mix(matrix: np.ndarray, flat: np.ndarray) -> np.ndarray:
-                out = (matrix @ flat).reshape(matrix.shape[0], *batch_shape, c)
-                return np.moveaxis(out, 0, -2)
-
-            out_data = _mix(a, _node_major(b))
-
-            def backward(grad: np.ndarray) -> None:
-                # One node-major copy of the grad feeds both GEMMs.
-                grad_mat = _node_major(grad)
-                if self.requires_grad:
-                    self._accumulate(grad_mat @ _node_major(b).T)
-                if other.requires_grad:
-                    other._accumulate(_mix(a.T, grad_mat))
-
-            return Tensor._make(out_data, (self, other), backward)
-        out_data = a @ b
-
-        def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                if a.ndim == 1 and b.ndim == 1:
-                    # (n,) @ (n,) -> (): grad is a scalar.
-                    grad_a = grad * b
-                elif b.ndim == 1:
-                    # (..., n) @ (n,) -> (...,): grad_a[..., n] = grad[...] * b[n]
-                    grad_a = grad[..., None] * b
-                elif a.ndim == 1:
-                    # (n,) @ (..., n, m) -> (..., m): contract grad with b over
-                    # every axis except b's node axis.
-                    bt = np.swapaxes(b, -1, -2)  # (..., m, n)
-                    axes = list(range(grad.ndim))
-                    grad_a = np.tensordot(grad, bt, axes=(axes, axes))
-                else:
-                    grad_a = _unbroadcast(grad @ np.swapaxes(b, -1, -2), a.shape)
-                self._accumulate(grad_a)
-            if other.requires_grad:
-                if a.ndim == 1 and b.ndim == 1:
-                    grad_b = grad * a
-                elif a.ndim == 1:
-                    # grad_b[..., n, m] = a[n] * grad[..., m]
-                    grad_b = _unbroadcast(a[:, None] * grad[..., None, :], b.shape)
-                elif b.ndim == 1:
-                    # (..., n) @ (n,) -> (...,): grad_b[n] = sum grad[...] * a[..., n]
-                    axes = list(range(grad.ndim))
-                    grad_b = np.tensordot(grad, a, axes=(axes, axes))
-                else:
-                    grad_b = _unbroadcast(np.swapaxes(a, -1, -2) @ grad, b.shape)
-                other._accumulate(grad_b)
-
-        return Tensor._make(out_data, (self, other), backward)
+            # (..., k) @ (k, m): the Linear-layer hot path.
+            op = MATMUL_FLAT
+        elif a.ndim == 2 and b.ndim > 2:
+            # (v, w) @ (..., w, c): the graph-propagation hot path.
+            op = MATMUL_MIX
+        else:
+            op = MATMUL
+        return Tensor._make(op.forward(a, b), (self, other), op)
 
     def __rmatmul__(self, other) -> "Tensor":
         return as_tensor(other) @ self
@@ -674,15 +846,9 @@ class Tensor:
     # Reductions
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
-
-        return Tensor._make(out_data, (self,), backward)
+        fields = (axis, keepdims)
+        return Tensor._make(SUM.forward(self._data, fields), (self,), SUM,
+                            fields)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -698,19 +864,9 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Max reduction; gradient flows to (all) argmax positions equally."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            g = grad
-            o = out_data
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-                o = np.expand_dims(o, axis)
-            mask = (self.data == o)
-            counts = mask.sum(axis=axis if axis is not None else None, keepdims=True)
-            self._accumulate(np.broadcast_to(g, self.shape) * mask / counts)
-
-        return Tensor._make(out_data, (self,), backward)
+        fields = (axis, keepdims)
+        return Tensor._make(MAX.forward(self._data, fields), (self,), MAX,
+                            fields)
 
     # ------------------------------------------------------------------
     # Shape manipulation
@@ -718,26 +874,17 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-        in_shape = self.shape
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(in_shape))
-
-        return Tensor._make(out_data, (self,), backward)
+        return Tensor._make(RESHAPE.forward(self._data, shape), (self,),
+                            RESHAPE, shape)
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes)
-        inverse = tuple(np.argsort(axes))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
-
-        return Tensor._make(out_data, (self,), backward)
+        fields = (axes, tuple(np.argsort(axes)))
+        return Tensor._make(TRANSPOSE.forward(self._data, fields), (self,),
+                            TRANSPOSE, fields)
 
     @property
     def T(self) -> "Tensor":
@@ -749,23 +896,13 @@ class Tensor:
         return self.transpose(tuple(axes))
 
     def __getitem__(self, key) -> "Tensor":
-        out_data = self.data[key]
-        in_shape = self.shape
         # Basic indexing (ints/slices/ellipsis) never selects a position
-        # twice, so plain assignment-add is valid and much faster than the
-        # general scatter-add needed for integer-array (fancy) indexing.
+        # twice, so its backward may assignment-add; integer-array (fancy)
+        # indexing needs the general scatter-add.
         parts = key if isinstance(key, tuple) else (key,)
-        fancy = any(isinstance(p, (list, np.ndarray)) for p in parts)
-
-        def backward(grad: np.ndarray) -> None:
-            full = np.zeros(in_shape, dtype=grad.dtype)
-            if fancy:
-                np.add.at(full, key, grad)
-            else:
-                full[key] += grad
-            self._accumulate(full)
-
-        return Tensor._make(out_data, (self,), backward)
+        fields = (key, any(isinstance(p, (list, np.ndarray)) for p in parts))
+        return Tensor._make(GETITEM.forward(self._data, fields), (self,),
+                            GETITEM, fields)
 
     def conv_windows(self, size: int, dilation: int = 1,
                      left_pad: int = 0) -> "Tensor":
@@ -775,15 +912,9 @@ class Tensor:
         C-contiguous ``(B, N, T_out, C * size)`` window matrix, where
         ``T_out = T + left_pad - (size - 1) * dilation`` and column
         ``c * size + j`` holds channel ``c`` at tap ``j``: ``windows @
-        weight.reshape(C_out, C * size).T`` is the convolution.
-
-        The backward pass is part of the bitwise contract.  It accumulates
-        taps ``j = 0..size-1`` in order onto zeros.  When the input has no
-        grad yet (so it may borrow this one) it hands the input a ``[...,
-        left_pad:]`` slice of a C-contiguous ``(B, C, N, T + left_pad)``
-        array, because downstream reductions sum in memory order
-        (DESIGN.md, "Fused temporal windows"); when the grad is added onto
-        an existing one it hands a C-contiguous ``(B, C, N, T)`` array.
+        weight.reshape(C_out, C * size).T`` is the convolution.  The
+        backward's layout is part of the bitwise contract (see
+        ``_conv_windows_grad``).
         """
         if self.ndim != 4:
             raise ValueError(
@@ -791,49 +922,13 @@ class Tensor:
         if size < 1 or dilation < 1 or left_pad < 0:
             raise ValueError(
                 "size and dilation must be >= 1 and left_pad >= 0")
-        b, c, n, t = self.shape
-        t_pad = t + left_pad
         span = (size - 1) * dilation + 1
-        if span > t_pad:
-            raise ValueError(
-                f"window span {span} exceeds padded time length {t_pad}")
-        t_out = t_pad - span + 1
-        # Tap j of output step o reads input step o + shift_j; outputs
-        # before first_j read the zero padding.
-        taps = []
-        for j in range(size):
-            shift = j * dilation - left_pad
-            taps.append((j, shift, min(max(0, -shift), t_out)))
-        source = self.data.transpose(0, 2, 3, 1)  # (B, N, T, C) view
-        windows = np.empty((b, n, t_out, c, size), dtype=self.data.dtype)
-        for j, shift, first in taps:
-            windows[:, :, :first, :, j] = 0.0
-            if first < t_out:
-                windows[:, :, first:, :, j] = \
-                    source[:, :, first + shift:t_out + shift]
-
-        def backward(grad: np.ndarray) -> None:
-            tap_grads = grad.reshape(b, n, t_out, c, size)
-            # Padded taps feed no input step and are skipped; every input
-            # step still sums its taps in order j = 0..size-1 onto zero.
-            summed = np.zeros((b, n, t, c), dtype=grad.dtype)
-            for j, shift, first in taps:
-                if first < t_out:
-                    summed[:, :, first + shift:t_out + shift] += \
-                        tap_grads[:, :, first:, :, j]
-            if self.grad is not None:
-                # The grad is added onto an existing one, so nobody sees
-                # this array's layout: a contiguous one adds ~25x faster
-                # than the gappy slice, and gives the same values and the
-                # same result layout (equal axis order).
-                self._accumulate(summed.transpose(0, 3, 1, 2).copy())
-                return
-            full = np.zeros((b, c, n, t_pad), dtype=grad.dtype)
-            np.copyto(full[..., left_pad:], summed.transpose(0, 3, 1, 2))
-            self._accumulate(full[..., left_pad:])
-
-        return Tensor._make(windows.reshape(b, n, t_out, c * size), (self,),
-                            backward)
+        if span > self.shape[-1] + left_pad:
+            raise ValueError(f"window span {span} exceeds padded time "
+                             f"length {self.shape[-1] + left_pad}")
+        fields = (size, dilation, left_pad)
+        return Tensor._make(CONV_WINDOWS.forward(self._data, fields),
+                            (self,), CONV_WINDOWS, fields)
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable; return plain numpy bool arrays)
@@ -845,50 +940,70 @@ class Tensor:
         return self.data < (other.data if isinstance(other, Tensor) else other)
 
 
+def topological_order(root: Tensor) -> list[Tensor]:
+    """The nodes ``root.backward()`` visits, parents before children.
+
+    An iterative DFS over parents that require grad; the trace JIT
+    compiles its backward in exactly this order.
+    """
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in visited:
+                stack.append((parent, False))
+    return topo
+
+
+def _run_vjps(node: Tensor, op: Primitive) -> None:
+    """Accumulate ``node``'s grad into its parents through ``op``'s VJPs."""
+    g = node.grad
+    ctx = node._ctx
+    parents = node._parents
+    xs = [parent._data for parent in parents]
+    if op.prepare is not None:
+        g = op.prepare(ctx, g)
+    for i, (parent, vjp) in enumerate(zip(parents, op.vjps)):
+        if parent.requires_grad:
+            out = None
+            if op.dense_accumulate and parent.grad is not None:
+                out = np.empty(parent.shape, dtype=g.dtype)
+            parent._accumulate(vjp(ctx, g, node._data, xs, i, out))
+
+
 # ----------------------------------------------------------------------
 # Module-level graph-combining helpers (need access to several tensors)
 # ----------------------------------------------------------------------
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * grad.ndim
-                sl[axis] = slice(start, stop)
-                t._accumulate(grad[tuple(sl)])
-
-    return Tensor._make(out_data, tensors, backward)
+    offsets = (0,)
+    for t in tensors:
+        offsets += (offsets[-1] + t.shape[axis],)
+    fields = (axis, offsets)
+    return Tensor._make(CONCAT.forward(*[t._data for t in tensors], fields),
+                        tensors, CONCAT, fields)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis (differentiable)."""
     tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        slabs = np.moveaxis(grad, axis, 0)
-        for t, slab in zip(tensors, slabs):
-            if t.requires_grad:
-                t._accumulate(slab)
-
-    return Tensor._make(out_data, tensors, backward)
+    return Tensor._make(STACK.forward(*[t._data for t in tensors], axis),
+                        tensors, STACK, axis)
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable select: condition is a plain boolean array."""
     a, b = as_tensor(a), as_tensor(b)
     cond = np.asarray(condition, dtype=bool)
-    out_data = np.where(cond, a.data, b.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.where(cond, grad, 0.0), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.where(cond, 0.0, grad), b.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
+    return Tensor._make(WHERE.forward(a._data, b._data, cond), (a, b), WHERE,
+                        cond)

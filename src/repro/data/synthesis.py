@@ -112,6 +112,11 @@ class SynthesisConfig:
         for name in ("compliance_alpha", "compliance_beta"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if len(self.variable_names) < len(DEFAULT_VARIABLE_NAMES):
+            raise ValueError(
+                f"variable_names must hold at least "
+                f"{len(DEFAULT_VARIABLE_NAMES)} names (the simulated items), "
+                f"got {len(self.variable_names)}")
 
     @property
     def scheduled_beeps(self) -> int:

@@ -13,6 +13,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..autodiff import Tensor, normalize_adjacency
@@ -286,10 +288,12 @@ class GraphLearner(Module):
                * self.alpha).tanh().relu()
         if self.top_k is None or self.top_k >= self.num_nodes:
             return raw
-        mask = self._top_k_mask(raw.data, self.top_k)
-        # The top-k mask drifts as the embeddings train — MTGNN's
-        # documented JIT fallback (see ema-gnn check).
-        return raw * Tensor(mask)
+        mask = Tensor(self._top_k_mask(raw.data, self.top_k))
+        # The mask is structure derived from ``raw``, not data: trace
+        # replay recomputes it from raw's buffer every epoch.
+        mask._trace_src = ("derived", raw,
+                           partial(self._top_k_mask, k=self.top_k))
+        return raw * mask
 
     @staticmethod
     def _top_k_mask(matrix: np.ndarray, k: int) -> np.ndarray:

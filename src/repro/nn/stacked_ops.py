@@ -33,8 +33,13 @@ Bit-exactness contract (asserted end-to-end in ``tests/training``):
   operator stack; :func:`lane_mix` does the same with the solo output
   layout.  Neither differentiates its operator: a learned one raises.
 * :func:`lane_matvec` mirrors the general branch's ``(..., n) @ (n,)``
-  matrix-vector product, and :func:`lane_scale` the broadcast multiply
-  by a per-lane weight.
+  matrix-vector product (``grad[..., None] * v`` for ``x``, a full
+  ``tensordot`` for ``v``), and :func:`lane_scale` the broadcast multiply
+  by a per-lane weight, its grad reduced per lane like ``_unbroadcast``.
+
+Each op is a :class:`~repro.autodiff.primitive.Primitive`: the trace JIT
+replays the same kernels, and :data:`BATCHED_LANES` picks batched or
+per-lane loops inside them.
 
 :func:`stack_lanes` builds a lane model from ``K`` solo models on these
 ops, so a model has one forward for solo, stacked and batched execution.
@@ -60,6 +65,8 @@ from functools import partial
 import numpy as np
 
 from ..autodiff import Tensor, is_grad_enabled, no_grad, softmax
+from ..autodiff.primitive import Primitive, into, matmul, reshaped
+from ..autodiff.tensor import MATMUL_MIX
 from .attention import SpatialAttention, TemporalAttention
 from .conv import TemporalConv2d
 from .dropout import Dropout
@@ -143,15 +150,143 @@ def _batched_matvec(xd: np.ndarray, vd: np.ndarray) -> np.ndarray:
 BATCHED_LANES: bool = _probe_batched_exactness()
 
 
+def _lane_matmul(x, w, out=None):
+    lanes, in_f = x.shape[0], x.shape[-1]
+    shape = x.shape[:-1] + w.shape[-1:]
+    if BATCHED_LANES:
+        return matmul(x.reshape(lanes, -1, in_f), w, out, shape)
+    if out is None:
+        out = np.empty(shape, dtype=np.result_type(x, w))
+    for k in range(lanes):
+        out[k] = (x[k].reshape(-1, in_f) @ w[k]).reshape(shape[1:])
+    return out
+
+
+def _lane_matmul_grad(ctx, g2, y, xs, i, out=None):
+    x, w = xs
+    lanes = x.shape[0]
+    if i == 0:
+        if BATCHED_LANES:
+            # w.swapaxes is the strided view of the base weight rows,
+            # exactly the layout the solo backward sees for b.T.
+            return matmul(g2, w.swapaxes(-1, -2), out, x.shape)
+        if out is None:
+            out = np.empty(x.shape, dtype=np.result_type(g2, w))
+        for k in range(lanes):
+            out[k] = (g2[k] @ w[k].T).reshape(x.shape[1:])
+        return out
+    x2 = x.reshape(lanes, -1, x.shape[-1])
+    if BATCHED_LANES:
+        return matmul(x2.swapaxes(-1, -2), g2, out)
+    if out is None:
+        out = np.empty(w.shape, dtype=np.result_type(x, g2))
+    for k in range(lanes):
+        out[k] = x2[k].T @ g2[k]
+    return out
+
+
+def _lane_matvec(x, v, out=None):
+    if BATCHED_LANES:
+        return into(_batched_matvec(x, v), out)
+    return np.stack([x[k] @ v[k] for k in range(x.shape[0])], out=out)
+
+
+def _lane_matvec_grad(ctx, g, y, xs, i, out=None):
+    x, v = xs
+    if i == 0:
+        return np.multiply(g[..., None], v.reshape(
+            (x.shape[0],) + (1,) * (x.ndim - 2) + v.shape[-1:]), out=out)
+    if out is None:
+        out = np.empty(v.shape, dtype=np.result_type(g, x))
+    axes = list(range(g.ndim - 1))
+    for k in range(x.shape[0]):
+        out[k] = np.tensordot(g[k], x[k], axes=(axes, axes))
+    return out
+
+
+def _lane_sum(product: np.ndarray, ndim: int, out=None) -> np.ndarray:
+    """Per-lane sum of ``product`` over every axis before the last
+    ``ndim - 1`` (the solo ``_unbroadcast`` reduction, lane by lane)."""
+    reduce_axes = tuple(range(product.ndim - ndim))
+    if BATCHED_LANES:
+        return into(product.sum(axis=tuple(a + 1 for a in reduce_axes)), out)
+    return np.stack([product[k].sum(axis=reduce_axes)
+                     for k in range(product.shape[0])], out=out)
+
+
+def _lane_bias_grad(ctx, g, y, xs, i, out=None):
+    if i == 0:
+        return into(g, out)
+    return _lane_sum(g, xs[1].ndim, out)
+
+
+def _lane_scale_grad(ctx, g, y, xs, i, out=None):
+    x, w = xs
+    if i == 0:
+        return np.multiply(g, _lane_broadcast(x, w), out=out)
+    return _lane_sum(g * x, w.ndim, out)
+
+
+def _lane_propagate(x, operator, out=None):
+    if BATCHED_LANES:
+        return into(_mix_lanes(operator, x), out)
+    if out is None:
+        out = np.empty(x.shape[:-2] + (operator.shape[-2], x.shape[-1]),
+                       dtype=np.result_type(operator, x))
+    for k in range(x.shape[0]):
+        out[k] = MATMUL_MIX.forward(operator[k], x[k])
+    return out
+
+
+def _lane_mix(operator: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if BATCHED_LANES:
+        return _mix_lanes(operator, x, contiguous=False)
+    mixed = np.stack([np.moveaxis(MATMUL_MIX.forward(operator[k], x[k]),
+                                  -2, 0) for k in range(x.shape[0])])
+    return np.moveaxis(mixed, 1, -2)
+
+
+_OPERATORS = np.linspace(0.1, 1.0, 18).reshape(2, 3, 3)  # example (K, V, V)
+
+LANE_MATMUL = Primitive(
+    "lane_matmul", _lane_matmul, (_lane_matmul_grad, _lane_matmul_grad),
+    prepare=lambda ctx, g, out=None: reshaped(
+        g, (g.shape[0], -1, g.shape[-1]), out),
+    examples=(([(2, 3, 4), (2, 4, 5)], lambda x, w: lane_matmul(x, w)),))
+LANE_MATVEC = Primitive(
+    "lane_matvec", _lane_matvec, (_lane_matvec_grad, _lane_matvec_grad),
+    examples=(([(2, 3, 4), (2, 4)], lambda x, v: lane_matvec(x, v)),))
+LANE_BIAS_ADD = Primitive(
+    "lane_bias_add",
+    lambda x, b, out=None: np.add(x, _lane_broadcast(x, b), out=out),
+    (_lane_bias_grad, _lane_bias_grad),
+    examples=(([(2, 3, 4), (2, 4)], lambda x, b: lane_bias_add(x, b)),))
+LANE_SCALE = Primitive(
+    "lane_scale",
+    lambda x, w, out=None: np.multiply(x, _lane_broadcast(x, w), out=out),
+    (_lane_scale_grad, _lane_scale_grad),
+    examples=(([(2, 3, 4), (2, 4)], lambda x, w: lane_scale(x, w)),))
+LANE_PROPAGATE = Primitive(
+    "lane_propagate", _lane_propagate,
+    (lambda ctx, g, y, xs, i, out=None:
+     _lane_propagate(g, ctx.swapaxes(-1, -2), out),),
+    operand="operator",
+    examples=(([(2, 2, 3, 4)], lambda x: lane_propagate(_OPERATORS, x)),))
+LANE_MIX = Primitive(
+    "lane_mix",
+    lambda x, operator, out=None: into(_lane_mix(operator, x), out),
+    (lambda ctx, g, y, xs, i, out=None:
+     into(_lane_mix(ctx.swapaxes(-1, -2), g), out),),
+    operand="operator",
+    examples=(([(2, 2, 3, 4)], lambda x: lane_mix(_OPERATORS, x)),))
+
+
 def lane_matmul(x: Tensor, wt: Tensor) -> Tensor:
     """Per-lane matmul ``out[k] = x[k] @ wt[k]`` over the leading lane axis.
 
     ``x`` is ``(K, ..., F_in)`` and ``wt`` is ``(K, F_in, F_out)`` —
     typically a fresh ``weight.swapaxes(-1, -2)`` node (see
-    :func:`lane_affine`).  Forward and backward run the exact GEMMs of the
-    solo ``(..., F_in) @ (F_in, F_out)`` matmul branch, once per lane —
-    through one batched ``np.matmul`` when :data:`BATCHED_LANES` holds,
-    through an explicit Python loop otherwise.
+    :func:`lane_affine`).
     """
     xd, wd = x.data, wt.data
     if xd.shape[0] != wd.shape[0]:
@@ -159,43 +294,8 @@ def lane_matmul(x: Tensor, wt: Tensor) -> Tensor:
                          f"{wd.shape[0]}")
     if xd.shape[-1] != wd.shape[-2]:
         raise ValueError(f"lane_matmul got {xd.shape} @ {wd.shape}")
-    lanes = xd.shape[0]
-    in_f = xd.shape[-1]
-    out_f = wd.shape[-1]
-    lane_lead = xd.shape[1:-1]
-    lane_shape = xd.shape[1:]
-    out_shape = (lanes,) + lane_lead + (out_f,)
-    if BATCHED_LANES:
-        out = np.matmul(xd.reshape(lanes, -1, in_f), wd).reshape(out_shape)
-    else:
-        out = np.empty(out_shape, dtype=np.result_type(xd, wd))
-        for k in range(lanes):
-            out[k] = (xd[k].reshape(-1, in_f) @ wd[k]).reshape(
-                *lane_lead, out_f)
-
-    def lane_matmul_backward(grad: np.ndarray) -> None:
-        grad2 = grad.reshape(lanes, -1, out_f)
-        if x.requires_grad:
-            if BATCHED_LANES:
-                # wd.swapaxes is the strided view of the base weight rows,
-                # exactly the layout the solo backward sees for b.T.
-                gx = np.matmul(grad2, wd.swapaxes(-1, -2)).reshape(xd.shape)
-            else:
-                gx = np.empty(xd.shape, dtype=np.result_type(grad, wd))
-                for k in range(lanes):
-                    gx[k] = (grad2[k] @ wd[k].T).reshape(lane_shape)
-            x._accumulate(gx)
-        if wt.requires_grad:
-            x2 = xd.reshape(lanes, -1, in_f)
-            if BATCHED_LANES:
-                gw = np.matmul(x2.swapaxes(-1, -2), grad2)
-            else:
-                gw = np.empty(wd.shape, dtype=np.result_type(xd, grad))
-                for k in range(lanes):
-                    gw[k] = x2[k].T @ grad2[k]
-            wt._accumulate(gw)
-
-    return Tensor._make(out, (x, wt), lane_matmul_backward)
+    return Tensor._make(LANE_MATMUL.forward(xd, wd), (x, wt),
+                        LANE_MATMUL)
 
 
 def lane_matvec(x: Tensor, v: Tensor) -> Tensor:
@@ -203,34 +303,14 @@ def lane_matvec(x: Tensor, v: Tensor) -> Tensor:
 
     ``x`` is ``(K, ..., n)`` and ``v`` the stacked ``(K, n)`` parameter of
     a solo 1-D operand (the attention vectors of
-    :class:`~repro.nn.SpatialAttention` / ``TemporalAttention``).  Forward
-    and backward mirror ``Tensor.__matmul__``'s general branch for a 1-D
-    second operand: one matrix-vector product per 2-D slice, then
-    ``grad[..., None] * v`` for ``x`` and a full ``tensordot`` contraction
-    of ``grad`` with ``x`` for ``v``, lane by lane.
+    :class:`~repro.nn.SpatialAttention` / ``TemporalAttention``).
     """
     xd, vd = x.data, v.data
     if vd.ndim != 2 or xd.ndim < 3 or xd.shape[0] != vd.shape[0] \
             or xd.shape[-1] != vd.shape[-1]:
         raise ValueError(f"lane_matvec got {xd.shape} @ {vd.shape}")
-    lanes = xd.shape[0]
-    if BATCHED_LANES:
-        out = _batched_matvec(xd, vd)
-    else:
-        out = np.stack([xd[k] @ vd[k] for k in range(lanes)])
-
-    def lane_matvec_backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad[..., None] * vd.reshape(
-                (lanes,) + (1,) * (xd.ndim - 2) + (vd.shape[-1],)))
-        if v.requires_grad:
-            gv = np.empty(vd.shape, dtype=np.result_type(grad, xd))
-            axes = list(range(grad.ndim - 1))
-            for k in range(lanes):
-                gv[k] = np.tensordot(grad[k], xd[k], axes=(axes, axes))
-            v._accumulate(gv)
-
-    return Tensor._make(out, (x, v), lane_matvec_backward)
+    return Tensor._make(LANE_MATVEC.forward(xd, vd), (x, v),
+                        LANE_MATVEC)
 
 
 def _lane_broadcast(xd: np.ndarray, pd: np.ndarray) -> np.ndarray:
@@ -247,59 +327,17 @@ def lane_bias_add(x: Tensor, bias: Tensor) -> Tensor:
     """Add a per-lane bias ``(K, *F)`` to ``x`` of shape ``(K, ..., *F)``.
 
     ``F`` is the solo bias shape: one feature axis for ``Linear``, two
-    for the attention biases.  The bias gradient is accumulated here
-    directly — per lane, ``grad[k].sum`` over every axis before the
-    feature axes, which is precisely the ``_unbroadcast`` reduction the
-    solo broadcast-add performs — so the bias leaf sees its per-use
-    contributions at the same graph positions (and therefore in the same
-    order) as solo.
+    for the attention biases.
     """
-    xd, bd = x.data, bias.data
-    lanes = xd.shape[0]
-    out = xd + _lane_broadcast(xd, bd)
-    reduce_axes = tuple(range(xd.ndim - bd.ndim))
-    batched_axes = tuple(a + 1 for a in reduce_axes)
-
-    def lane_bias_add_backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad)
-        if bias.requires_grad:
-            if BATCHED_LANES:
-                gb = grad.sum(axis=batched_axes)
-            else:
-                gb = np.empty(bd.shape, dtype=grad.dtype)
-                for k in range(lanes):
-                    gb[k] = grad[k].sum(axis=reduce_axes)
-            bias._accumulate(gb)
-
-    return Tensor._make(out, (x, bias), lane_bias_add_backward)
+    return Tensor._make(LANE_BIAS_ADD.forward(x.data, bias.data),
+                        (x, bias), LANE_BIAS_ADD)
 
 
 def lane_scale(x: Tensor, weight: Tensor) -> Tensor:
-    """Multiply ``x`` ``(K, ..., *F)`` by a per-lane weight ``(K, *F)``.
-
-    Mirrors the solo broadcast multiply ``x * weight`` (``LayerNorm``'s
-    affine scale): the weight gradient is ``grad * x`` reduced per lane
-    over the axes the solo ``_unbroadcast`` sums.
-    """
-    xd, wd = x.data, weight.data
-    view = _lane_broadcast(xd, wd)
-    out = xd * view
-    reduce_axes = tuple(range(xd.ndim - wd.ndim))
-
-    def lane_scale_backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * view)
-        if weight.requires_grad:
-            product = grad * xd
-            if BATCHED_LANES:
-                gw = product.sum(axis=tuple(a + 1 for a in reduce_axes))
-            else:
-                gw = np.stack([product[k].sum(axis=reduce_axes)
-                               for k in range(wd.shape[0])])
-            weight._accumulate(gw)
-
-    return Tensor._make(out, (x, weight), lane_scale_backward)
+    """Multiply ``x`` ``(K, ..., *F)`` by a per-lane weight ``(K, *F)``
+    (``LayerNorm``'s affine scale)."""
+    return Tensor._make(LANE_SCALE.forward(x.data, weight.data),
+                        (x, weight), LANE_SCALE)
 
 
 def lane_affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -317,38 +355,24 @@ def lane_affine(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor
     return out
 
 
-def _mixers(lanes: int, batch_shape: tuple[int, ...],
-            contiguous: bool = True):
-    """The solo ``(V, V) @ (..., V, C)`` flatten-to-one-GEMM product
-    (``_mix``) and its lane-batched form over ``(K, V, V)`` stacks.
+def _mix_lanes(matrices: np.ndarray, operand: np.ndarray,
+               contiguous: bool = True) -> np.ndarray:
+    """The solo ``(V, V) @ (..., V, C)`` product (``MATMUL_MIX``) over
+    ``(K, V, V)`` stacks, as one stacked matmul.
 
-    ``contiguous=False`` returns the batched product as the solo's own
-    ``moveaxis`` view, lane by lane, for consumers whose later reductions
-    follow the operand's memory order.
+    moveaxis + C-order reshape copies element-for-element what the solo
+    product copies per lane, so each 2-D GEMM sees identical operands;
+    ascontiguousarray rebuilds the solo output layout so downstream
+    reductions reduce in the same memory order.  ``contiguous=False``
+    returns the solo's own ``moveaxis`` view, lane by lane, for consumers
+    whose later reductions follow the operand's memory order.
     """
-
-    def _mix(matrix: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        moved = np.moveaxis(operand, -2, 0).reshape(operand.shape[-2], -1)
-        mixed = matrix @ moved
-        mixed = mixed.reshape(matrix.shape[0], *batch_shape,
-                              operand.shape[-1])
-        return np.moveaxis(mixed, 0, -2)
-
-    def _mix_batched(matrices: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        # moveaxis + C-order reshape copies element-for-element what the
-        # per-lane _mix copies, so each 2-D GEMM sees identical operands;
-        # ascontiguousarray rebuilds the solo output layout so downstream
-        # reductions reduce in the same memory order.
-        moved = np.moveaxis(operand, -2, 1).reshape(
-            lanes, operand.shape[-2], -1)
-        mixed = np.matmul(matrices, moved)
-        mixed = mixed.reshape(lanes, matrices.shape[-2], *batch_shape,
-                              operand.shape[-1])
-        if not contiguous:
-            return np.moveaxis(mixed, 1, -2)
-        return np.ascontiguousarray(np.moveaxis(mixed, 1, -2))
-
-    return _mix, _mix_batched
+    lanes = operand.shape[0]
+    moved = np.moveaxis(operand, -2, 1).reshape(lanes, operand.shape[-2], -1)
+    mixed = np.matmul(matrices, moved).reshape(
+        lanes, matrices.shape[-2], *operand.shape[1:-2], operand.shape[-1])
+    mixed = np.moveaxis(mixed, 1, -2)
+    return np.ascontiguousarray(mixed) if contiguous else mixed
 
 
 def _check_mix(operator: np.ndarray, xd: np.ndarray, name: str) -> None:
@@ -388,29 +412,9 @@ def lane_propagate(operator, x: Tensor) -> Tensor:
     :func:`_constant_operator`).
     """
     operator = _constant_operator(operator, "lane_propagate")
-    xd = x.data
-    _check_mix(operator, xd, "lane_propagate")
-    lanes = xd.shape[0]
-    out_shape = xd.shape[:-2] + (operator.shape[-2], xd.shape[-1])
-    _mix, _mix_batched = _mixers(lanes, xd.shape[1:-2])
-
-    if BATCHED_LANES:
-        out = _mix_batched(operator, xd)
-    else:
-        out = np.empty(out_shape, dtype=np.result_type(operator, xd))
-        for k in range(lanes):
-            out[k] = _mix(operator[k], xd[k])
-
-    def lane_propagate_backward(grad: np.ndarray) -> None:
-        if BATCHED_LANES:
-            gx = _mix_batched(operator.swapaxes(-1, -2), grad)
-        else:
-            gx = np.empty(xd.shape, dtype=np.result_type(operator, grad))
-            for k in range(lanes):
-                gx[k] = _mix(operator[k].T, grad[k])
-        x._accumulate(gx)
-
-    return Tensor._make(out, (x,), lane_propagate_backward)
+    _check_mix(operator, x.data, "lane_propagate")
+    return Tensor._make(LANE_PROPAGATE.forward(x.data, operator), (x,),
+                        LANE_PROPAGATE, operator)
 
 
 def lane_mix(operator, x: Tensor) -> Tensor:
@@ -424,23 +428,9 @@ def lane_mix(operator, x: Tensor) -> Tensor:
     learned operators, have no lane backward.
     """
     operator = _constant_operator(operator, "lane_mix")
-    xd = x.data
-    _check_mix(operator, xd, "lane_mix")
-    lanes = xd.shape[0]
-    _mix, _mix_batched = _mixers(lanes, xd.shape[1:-2], contiguous=False)
-
-    def per_lane(matrices: np.ndarray, operand: np.ndarray) -> np.ndarray:
-        mixed = np.stack([np.moveaxis(_mix(matrices[k], operand[k]), -2, 0)
-                          for k in range(lanes)])
-        return np.moveaxis(mixed, 1, -2)
-
-    mix = _mix_batched if BATCHED_LANES else per_lane
-    out = mix(operator, xd)
-
-    def lane_mix_backward(grad: np.ndarray) -> None:
-        x._accumulate(mix(operator.swapaxes(-1, -2), grad))
-
-    return Tensor._make(out, (x,), lane_mix_backward)
+    _check_mix(operator, x.data, "lane_mix")
+    return Tensor._make(LANE_MIX.forward(x.data, operator), (x,), LANE_MIX,
+                        operator)
 
 
 # ----------------------------------------------------------------------

@@ -187,6 +187,7 @@ class Trainer:
         epoch_end = self._hooks(stack, "on_epoch_end")
         jit = None
         if self.config.jit:
+            import weakref
             from functools import partial
 
             from ..autodiff.trace import EpochJIT
@@ -195,14 +196,18 @@ class Trainer:
             # publish the loss, run the after-backward hooks (grad clip
             # reads the plan-bound ``p.grad`` arrays), then step.  The
             # late-bound ``optimizer.step`` lambda keeps profiler patching
-            # and lr-schedule changes effective during replay.
+            # and lr-schedule changes effective during replay.  The tail
+            # reaches the JIT through a weak reference: a cycle would keep
+            # the plan's arena (a whole epoch graph) alive after the fit
+            # until the cyclic garbage collector happened to run.
             def _publish_loss() -> None:
-                ctx.loss = jit.loss_value()
+                ctx.loss = jit_ref().loss_value()
 
             jit = EpochJIT(tail=[_publish_loss,
                                  *(partial(hook, ctx)
                                    for hook in after_backward),
                                  lambda: optimizer.step()])
+            jit_ref = weakref.ref(jit)
         self.last_jit = jit
         was_training = model.training
         model.train()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
+from repro.autodiff.primitive import Primitive
 
 
 def reference_chain(x, grad, size, dilation, left):
@@ -92,11 +93,11 @@ def old_conv_windows(tensor, size, dilation, left):
     flat = tensor.detach().conv_windows(size, dilation=dilation,
                                         left_pad=left).data
 
-    def backward(grad):
-        _, gappy = reference_chain(tensor.data, grad, size, dilation, left)
-        tensor._accumulate(gappy)
+    def gappy_grad(ctx, grad, y, xs, i, out=None):
+        return reference_chain(xs[0], grad, size, dilation, left)[1]
 
-    return Tensor._make(flat, (tensor,), backward)
+    return Tensor._make(flat, (tensor,),
+                        Primitive("old_conv_windows", None, (gappy_grad,)))
 
 
 @pytest.mark.parametrize("conv_position", [0, 1, 2])

@@ -12,7 +12,6 @@ plan replays (dropout RNG advances, parameter values, lane masks).
 import contextlib
 
 import numpy as np
-import pytest
 
 from repro.autodiff import (EpochJIT, Tensor, check_gradients,
                             detect_anomaly, huber, mse, where)
@@ -138,6 +137,56 @@ class TestReplayBitIdentity:
                             watch=lambda: {"pred": holder["pred"]})
         assert jit.total_replays == 4
         np.testing.assert_array_equal(jit.value("pred"), x @ w.data + b.data)
+
+    def test_matmul_with_1d_operand_replays_bitwise(self):
+        # Every general-matmul case, 1-D operands included, is one
+        # primitive with one VJP per parent, so it replays.
+        results = []
+        for use_jit in (False, True):
+            rng = np.random.default_rng(0)
+            w = Tensor(rng.normal(size=(4,)).astype(np.float32),
+                       requires_grad=True)
+            x = rng.normal(size=(8, 4)).astype(np.float32)
+            y = rng.normal(size=(8,)).astype(np.float32)
+            losses, jit = _loop(6, use_jit, lambda: mse(Tensor(x) @ w, y),
+                                [w])
+            results.append((losses, w.data.copy()))
+            if use_jit:
+                assert jit.total_replays == 4
+        assert results[0][0] == results[1][0]
+        np.testing.assert_array_equal(results[0][1], results[1][1])
+
+    def test_fancy_index_replays_bitwise(self):
+        # A fancy key that is the same array both epochs is a static
+        # field: the plan replays its scatter-add backward.
+        idx = np.array([0, 2, 1, 2])
+        results = []
+        for use_jit in (False, True):
+            w, b, x, y = _problem()
+
+            def loss_fn():
+                return mse((Tensor(x) @ w + b)[idx], y[idx])
+
+            losses, jit = _loop(6, use_jit, loss_fn, [w, b])
+            results.append((losses, w.data.copy(), b.data.copy()))
+            if use_jit:
+                assert jit.total_replays == 4
+        assert results[0][0] == results[1][0]
+        np.testing.assert_array_equal(results[0][1], results[1][1])
+        np.testing.assert_array_equal(results[0][2], results[1][2])
+
+    def test_fresh_fancy_key_disables(self):
+        # Equal values, a new array each epoch: the key may be data
+        # (top-k indices) that later epochs change, so the tracer refuses.
+        w, b, x, y = _problem()
+
+        def loss_fn():
+            idx = np.array([0, 2, 1])
+            return mse((Tensor(x) @ w + b)[idx], y[idx])
+
+        losses, jit = _loop(4, True, loss_fn, [w, b])
+        assert jit.off
+        assert "static fields changed" in jit.disabled_reason
 
 
 class TestFusion:
@@ -319,10 +368,6 @@ class TestInvalidation:
 
 
 class TestKnownDrift:
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: _Compiler.gbuf allocates C-contiguous node grads "
-        "where eager borrows the transposed view, so _unbroadcast sums the "
-        "bias grad in another memory order"))
     def test_channel_mix_conv_replays_bitwise(self):
         # A 1x1 TemporalConv2d is transpose -> matmul -> +bias ->
         # transpose: the bias add's grad is a transposed view in eager
@@ -368,26 +413,6 @@ class TestFallbackReasons:
                        lambda: huber(Tensor(x) @ w2 + b2, y, delta=0.05),
                        [w2, b2])
         assert losses == ref
-
-    def test_matmul_with_1d_operand_falls_back(self):
-        rng = np.random.default_rng(0)
-        w = Tensor(rng.normal(size=(4,)).astype(np.float32),
-                   requires_grad=True)
-        x = rng.normal(size=(8, 4)).astype(np.float32)
-        y = rng.normal(size=(8,)).astype(np.float32)
-        losses, jit = self._run(lambda: mse(Tensor(x) @ w, y), [w])
-        assert jit.off
-        assert "1-D" in jit.disabled_reason
-
-    def test_fancy_index_falls_back(self):
-        w, b, x, y = _problem()
-        idx = np.array([0, 2, 1])
-
-        def loss_fn():
-            return mse((Tensor(x) @ w + b)[idx], y[idx])
-
-        losses, jit = self._run(loss_fn, [w, b])
-        assert jit.off
 
     def test_fallback_is_transparent(self):
         # A disabled JIT never perturbs the loop: capture() and seal()

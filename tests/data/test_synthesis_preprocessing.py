@@ -37,10 +37,12 @@ class TestSynthesisConfig:
         ("event_scale", float("nan")),
         ("compliance_alpha", 0.0),
         ("compliance_beta", 0.0),
+        ("variable_names", ("a", "b")),
     ])
     def test_rejects_unusable_values_naming_the_field(self, field, value):
         # Each would otherwise surface only as a bare numpy error from
-        # inside generate_cohort ("a <= 0", "scale < 0", ...).
+        # inside generate_cohort ("a <= 0", "scale < 0", "negative
+        # dimensions are not allowed", ...).
         with pytest.raises(ValueError, match=f"^{field} must"):
             SynthesisConfig(**{field: value})
 
