@@ -85,6 +85,12 @@ HAZARDS: dict[str, str] = {
         "derived constant source is outside the captured epoch",
     "param-storage-rebound":
         "parameter storage was rebound",
+    # -- served forward replay (autodiff/trace.py ForwardJIT) ---------------
+    "forward-snapshot":
+        "op #{i} ({op}) reads a constant or operator that is a new object "
+        "in each captured forward; a served plan binds no value snapshots",
+    "forward-replay-raised":
+        "forward replay raised {error}",
     # -- stacked-backend blockers (training/stacked.py, fastpath.py) --------
     "stack-no-forward":
         "model {model!r} has no stacked forward: {detail}",

@@ -11,6 +11,8 @@ Public surface:
   the first non-finite gradient in ``backward()``
 * :class:`EpochJIT` — trace-capture JIT: record one epoch, verify the
   next, replay a fused compiled plan for the rest (bit-identical)
+* :class:`ForwardJIT` — the same for a forward-only call of fixed shapes
+  (the served lane forward), keeping no captured array
 """
 
 from .anomaly import detect_anomaly, is_anomaly_enabled
@@ -19,7 +21,7 @@ from .tensor import (Tensor, as_tensor, concat, get_default_dtype,
                      set_trace_hook, stack, where)
 from .functional import huber, log_softmax, mae, mse, normalize_adjacency, softmax
 from .gradcheck import check_gradients, numerical_gradient
-from .trace import EpochJIT, TraceInvalid
+from .trace import EpochJIT, ForwardJIT, TraceInvalid
 
 __all__ = [
     "Tensor",
@@ -43,5 +45,6 @@ __all__ = [
     "numerical_gradient",
     "set_trace_hook",
     "EpochJIT",
+    "ForwardJIT",
     "TraceInvalid",
 ]

@@ -7,11 +7,14 @@ paper's equation (1), etc.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .tensor import Tensor, as_tensor
 
-__all__ = ["softmax", "log_softmax", "mse", "mae", "huber", "normalize_adjacency"]
+__all__ = ["softmax", "log_softmax", "mse", "mae", "huber", "normalize_adjacency",
+           "volatile_constant"]
 
 
 def _neg_max_shift(x: Tensor, axis: int) -> Tensor:
@@ -32,6 +35,19 @@ def _neg_max_shift(x: Tensor, axis: int) -> Tensor:
     shift = Tensor(-x.data.max(axis=axis, keepdims=True))
     shift._trace_src = ("derived", x, recompute)
     return shift
+
+
+def volatile_constant(make, *args, **kwargs) -> Tensor:
+    """``Tensor(make(*args, **kwargs))``, annotated so replay rebuilds it.
+
+    For constants a forward builds afresh on every call (recurrent zero
+    states, an identity for self-loops): replay calls ``make(*args)`` on
+    every run instead of binding one captured array, which a served
+    forward plan must not do (see :func:`repro.autodiff.trace._verify`).
+    """
+    constant = Tensor(make(*args, **kwargs))
+    constant._trace_src = ("volatile", partial(make, *args, **kwargs))
+    return constant
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

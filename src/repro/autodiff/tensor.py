@@ -125,6 +125,31 @@ def set_trace_hook(hook: Callable | None) -> None:
     _TRACE_HOOK = hook
 
 
+_FORWARD_HOOK: Callable | None = None
+
+
+@contextlib.contextmanager
+def record_forward(hook: Callable):
+    """Forward-only capture: run the block under :func:`no_grad` and report
+    every op with ``hook(out, parents, op, ctx)``.
+
+    The result is built as under :func:`no_grad`: no ``requires_grad``, no
+    graph wiring, so no backward is possible and nothing keeps an
+    intermediate alive; the hook records the primitive, parents and
+    static fields.  This is the capture seam of the served forward replay
+    (:class:`repro.autodiff.trace.ForwardJIT`); training capture
+    (:func:`set_trace_hook`) never turns it on.  The disabled path costs
+    one ``is None`` test per unwired op.
+    """
+    global _FORWARD_HOOK, _GRAD_ENABLED
+    previous = _FORWARD_HOOK, _GRAD_ENABLED
+    _FORWARD_HOOK, _GRAD_ENABLED = hook, False
+    try:
+        yield
+    finally:
+        _FORWARD_HOOK, _GRAD_ENABLED = previous
+
+
 # ----------------------------------------------------------------------
 # The primitives.  Each VJP's ``out=None`` result is exactly what the
 # eager engine hands the parent (values and layout); see primitive.py.
@@ -536,13 +561,14 @@ class Tensor:
         :attr:`grad` for this tensor.
     """
 
-    #: ``_trace_src`` is deliberately *not* initialised in ``__init__`` —
-    #: it exists only on the few tensors the trace JIT annotates (dropout
-    #: masks, softmax shifts), and readers use ``getattr(t, "_trace_src",
-    #: None)``, so ordinary tensor creation pays nothing for the slot.
+    #: ``_trace_src`` and ``_tape`` are deliberately *not* initialised in
+    #: ``__init__`` — they exist only on the few tensors the trace JIT
+    #: annotates (dropout masks, softmax shifts) and on results recorded by
+    #: a forward capture, and readers use ``getattr(t, name, None)``, so
+    #: ordinary tensor creation pays nothing for the slots.
     __slots__ = ("_data", "grad", "requires_grad", "_op", "_ctx", "_parents",
                  "_grad_owned", "_version", "_parent_versions", "_trace",
-                 "_trace_src")
+                 "_trace_src", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         array = np.asarray(data)
@@ -662,6 +688,8 @@ class Tensor:
                 out._trace = user_frame_summary()
             if _TRACE_HOOK is not None:
                 _TRACE_HOOK(out)
+        elif _FORWARD_HOOK is not None:
+            _FORWARD_HOOK(out, parents, op, ctx)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -24,6 +24,12 @@ that for epochs 3..N:
   hooks, ``optimizer.step``).  Runs of single-parent elementwise ops are
   fused into single closures over their kernels, sharing one buffer.
 
+:class:`ForwardJIT` applies the same capture and verification to a
+forward-only call of fixed shapes, the served lane forward: it records
+under :func:`repro.autodiff.tensor.record_forward`, binds no value
+snapshots, and replays the forward kernels with ``out=None``
+(:class:`ForwardPlan`), keeping no captured array.
+
 Bit-identity contract
 ---------------------
 A kernel computes the same values into an ``out`` buffer as into a fresh
@@ -64,6 +70,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+from operator import itemgetter
 from time import perf_counter
 from typing import Callable
 
@@ -74,7 +81,8 @@ from . import tensor as _tensor_mod
 from .tensor import Tensor, topological_order
 from ..analysis.hazards import reason as _reason
 
-__all__ = ["EpochJIT", "TraceInvalid", "chain_reference"]
+__all__ = ["EpochJIT", "ForwardJIT", "ForwardPlan", "TraceInvalid",
+           "chain_reference"]
 
 
 class TraceInvalid(Exception):
@@ -152,7 +160,7 @@ def _same_fields(a, b) -> bool:
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def _check_fields(i: int, op, ctx1, ctx2) -> None:
+def _check_fields(i: int, op, ctx1, ctx2, snapshots: bool) -> None:
     if op.operand == "mask":
         # The same array object both epochs is a deliberately persistent,
         # externally maintained mask (the stacked executor's lane-active
@@ -162,15 +170,20 @@ def _check_fields(i: int, op, ctx1, ctx2) -> None:
         # not, so the trace is invalid.
         if ctx1 is not ctx2:
             raise TraceInvalid(_reason("where-data-dependent"))
-    elif op.operand == "operator":
-        if ctx1 is not ctx2 and not np.array_equal(ctx1, ctx2):
+    elif op.operand == "operator" and ctx1 is not ctx2:
+        # A tensor operator is a parent (ctx None); an array must be the
+        # same object to be bound live, or, in training, equal.
+        if not snapshots:
+            raise TraceInvalid(_reason("forward-snapshot", i=i, op=op.name))
+        if not np.array_equal(ctx1, ctx2):
             raise TraceInvalid(_reason("lane-propagate-changed"))
     elif not _same_fields(ctx1, ctx2):
         raise TraceInvalid(_reason("scalar-operands-changed", i=i,
                                    op=op.name))
 
 
-def _classify_constant(t1, t2) -> tuple:
+def _classify_constant(i: int, op, t1, t2, snapshots: bool,
+                       source1, source2) -> tuple:
     src1 = getattr(t1, "_trace_src", None)
     src2 = getattr(t2, "_trace_src", None)
     if (src1 is None) != (src2 is None) or \
@@ -181,87 +194,164 @@ def _classify_constant(t1, t2) -> tuple:
             raise TraceInvalid(_reason("const-provider-changed"))
         return ("volatile", t2, src2[1])
     if src1 is not None and src1[0] == "derived":
+        # Without snapshots the source must be the same tape node, or the
+        # same external tensor (read live): a source from one capture
+        # would freeze that capture's values into the plan.
+        if not snapshots and not _same_ref(source1, source2):
+            raise TraceInvalid(_reason("forward-snapshot", i=i, op=op.name))
         return ("derived", t2, src2[1], src2[2])
     if t1 is t2:
         # Persistent external tensor (inputs, adjacency): bound live and
         # guarded per replay, so a ``.data`` rebind forces a retrace.
         return ("const", t2, True)
+    if not snapshots:
+        raise TraceInvalid(_reason("forward-snapshot", i=i, op=op.name))
     if t1.data.dtype == t2.data.dtype and np.array_equal(t1.data, t2.data):
         return ("const", t2, False)  # stable snapshot (equal both epochs)
     raise TraceInvalid(_reason("const-value-changed"))
 
 
+def _derived_source(t, ref):
+    """A derived constant's source as ``ref`` maps it (its tape index, or
+    the tensor itself); None for any other leaf."""
+    src = getattr(t, "_trace_src", None)
+    return None if src is None or src[0] != "derived" else ref(src[1])
+
+
 class _Summary:
-    """What verification needs of the first captured epoch: per node its
-    primitive, static fields, shape and dtype, and per parent its
-    ``requires_grad`` flag and tape index (a node) or the leaf tensor.
-    Node arrays are not kept, so the epoch's graph is freed as in eager."""
+    """One captured tape as verification reads it.
 
-    def __init__(self, tape, root, watch):
+    ``nodes`` holds per node its primitive, static fields, output shape
+    and dtype, and per parent its ``requires_grad`` flag and a reference:
+    the parent's tape index (``-1`` for a node of another capture),
+    ``("input", k)`` for the ``k``-th declared input, or the leaf tensor.
+    ``sources`` maps ``id(leaf)`` to a derived constant's source reference.
+    No node array is kept, so the captured graph is freed as in eager.
+    """
+
+    def __init__(self, nodes, sources, root, watch):
+        self.nodes = nodes
+        self.sources = sources
+        self.root = root
+        self.watch = watch
+
+    @classmethod
+    def of_tape(cls, tape, root, watch) -> "_Summary":
+        """The summary of a training capture's graph-wired tensors."""
         index = {id(t): i for i, t in enumerate(tape)}
-        self.nodes = [(t._op, t._ctx, t.shape, t.dtype,
-                       [(p.requires_grad, index.get(id(p), -1)
-                         if p._op is not None else p) for p in t._parents])
-                      for t in tape]
-        self.root = index.get(id(root))
-        self.watch = {name: index.get(id(t)) for name, t in watch.items()}
+
+        def ref(p):
+            return index.get(id(p), -1) if p._op is not None else p
+        nodes = [(t._op, t._ctx, t.shape, t.dtype,
+                  [(p.requires_grad, ref(p)) for p in t._parents])
+                 for t in tape]
+        sources = {id(p): _derived_source(p, ref)
+                   for t in tape for p in t._parents if p._op is None}
+        return cls(nodes, sources, index.get(id(root)),
+                   {name: index.get(id(t)) for name, t in watch.items()})
 
 
-def _verify(first: _Summary, tape2, root2, watch2) -> list:
-    """Match the second captured tape against the first, node by node;
-    return compile-ready records.
+class _ForwardRecorder:
+    """The :func:`~repro.autodiff.tensor.record_forward` hook of one
+    forward capture: builds its :class:`_Summary` node by node.
+
+    Each result is tagged with ``(token, index)`` in ``_tape`` instead of
+    being kept, so an intermediate dies when eager drops it and a
+    capture's memory peak is eager's.
+    """
+
+    def __init__(self, inputs):
+        self.token = object()
+        self.inputs = {id(t): k for k, t in enumerate(inputs)}
+        self.summary = _Summary([], {}, None, {})
+
+    def ref(self, p):
+        tag = getattr(p, "_tape", None)
+        if tag is not None:
+            return tag[1] if tag[0] is self.token else -1
+        slot = self.inputs.get(id(p))
+        return p if slot is None else ("input", slot)
+
+    def __call__(self, out, parents, op, ctx) -> None:
+        nodes, sources = self.summary.nodes, self.summary.sources
+        out._tape = (self.token, len(nodes))
+        refs = [(p.requires_grad, self.ref(p)) for p in parents]
+        for _, ref in refs:
+            if isinstance(ref, Tensor):
+                sources[id(ref)] = _derived_source(ref, self.ref)
+        nodes.append((op, ctx, out._data.shape, out._data.dtype, refs))
+
+
+def _ref_kind(ref) -> type:
+    """``int`` (a node), ``tuple`` (an input) or ``Tensor`` (a leaf)."""
+    return type(ref) if type(ref) in (int, tuple) else Tensor
+
+
+def _same_ref(a, b) -> bool:
+    return a is b or (_ref_kind(a) is _ref_kind(b) is not Tensor and a == b)
+
+
+def _verify(first: _Summary, second: _Summary,
+            snapshots: bool = True) -> list[list[tuple]]:
+    """Match two captured tapes node by node; return the second's parent
+    specs per node.
 
     Raises :class:`TraceInvalid` on the first structural difference:
     primitive, output shape/dtype, static fields, parent wiring, parameter
-    identity or constant classification.
+    identity or constant classification.  With ``snapshots=False``
+    (served forward plans) no constant or operator may be bound by value:
+    each must be the same object in both captures or carry a
+    volatile/derived annotation over a same-object source.
     """
-    if len(first.nodes) != len(tape2):
-        raise TraceInvalid(_reason("op-count-changed",
-                                   n1=len(first.nodes), n2=len(tape2)))
-    if not tape2:
+    if len(first.nodes) != len(second.nodes):
+        raise TraceInvalid(_reason("op-count-changed", n1=len(first.nodes),
+                                   n2=len(second.nodes)))
+    if not second.nodes:
         raise TraceInvalid(_reason("empty-tape"))
-    idx2 = {id(t): i for i, t in enumerate(tape2)}
-    if first.root != idx2.get(id(root2)) or id(root2) not in idx2:
+    if second.root is None or first.root != second.root:
         raise TraceInvalid(_reason("root-moved"))
-    for name in watch2:
-        if first.watch.get(name) != idx2.get(id(watch2[name])):
+    for name, j in second.watch.items():
+        if first.watch.get(name) != j:
             raise TraceInvalid(_reason("watch-moved", name=name))
-    records: list[_Record] = []
-    for i, ((op1, ctx1, shape1, dtype1, parents1), t2) in enumerate(
-            zip(first.nodes, tape2)):
-        op = t2._op
+    all_specs: list[list[tuple]] = []
+    for i, ((op1, ctx1, shape1, dtype1, parents1),
+            (op, ctx2, shape2, dtype2, parents2)) in enumerate(
+                zip(first.nodes, second.nodes)):
         if op1 is not op:
             raise TraceInvalid(_reason("op-changed", i=i, q1=op1.name,
                                        q2=op.name))
-        if shape1 != t2.shape or dtype1 != t2.dtype:
+        if shape1 != shape2 or dtype1 != dtype2:
             raise TraceInvalid(_reason(
                 "shape-changed", i=i, op=op.name,
-                before=f"{shape1}/{dtype1}", after=f"{t2.shape}/{t2.dtype}"))
-        _check_fields(i, op, ctx1, t2._ctx)
-        if len(parents1) != len(t2._parents):
+                before=f"{shape1}/{dtype1}", after=f"{shape2}/{dtype2}"))
+        _check_fields(i, op, ctx1, ctx2, snapshots)
+        if len(parents1) != len(parents2):
             raise TraceInvalid(_reason("arity-changed", i=i, op=op.name))
         specs = []
-        for (grad1, p1), p2 in zip(parents1, t2._parents):
-            if grad1 != p2.requires_grad:
+        for (grad1, p1), (grad2, p2) in zip(parents1, parents2):
+            if grad1 != grad2:
                 raise TraceInvalid(_reason("requires-grad-flipped", i=i))
-            wired2 = p2._op is not None
-            if isinstance(p1, int) != wired2:
+            if _ref_kind(p1) != _ref_kind(p2) or \
+                    type(p1) is tuple and p1 != p2:
                 raise TraceInvalid(_reason("wiring-changed", i=i))
-            if wired2:
-                j2 = idx2.get(id(p2))
-                if j2 is None or p1 != j2:
+            if type(p2) is int:
+                if p2 < 0 or p1 != p2:
                     raise TraceInvalid(_reason(
                         "graph-extends-beyond-epoch", i=i, op=op.name))
-                specs.append(("node", j2))
-            elif p2.requires_grad:
+                specs.append(("node", p2))
+            elif type(p2) is tuple:
+                specs.append(p2)
+            elif grad2:
                 if p1 is not p2:
                     raise TraceInvalid(_reason(
                         "param-identity-changed", i=i, op=op.name))
                 specs.append(("param", p2))
             else:
-                specs.append(_classify_constant(p1, p2))
-        records.append(_Record(t2, specs))
-    return records
+                specs.append(_classify_constant(
+                    i, op, p1, p2, snapshots, first.sources.get(id(p1)),
+                    second.sources.get(id(p2))))
+        all_specs.append(specs)
+    return all_specs
 
 
 # ----------------------------------------------------------------------
@@ -760,7 +850,7 @@ class EpochJIT:
         nodes, self._nodes = self._nodes, []
         watch = dict(watch or {})
         if self._state == "capture1":
-            self._first = _Summary(nodes, root, watch)
+            self._first = _Summary.of_tape(nodes, root, watch)
             self._state = "capture2"
             return
         # Verify+compile is the JIT's one-time cost; meter it so a profiled
@@ -769,9 +859,10 @@ class EpochJIT:
         start = prof._begin() if prof is not None else 0.0
         first, self._first = self._first, None
         try:
-            records = _verify(first, nodes, root, watch)
-            root_index = next(i for i, rec in enumerate(records)
-                              if rec.tensor is root)
+            second = _Summary.of_tape(nodes, root, watch)
+            records = [_Record(t, specs) for t, specs in
+                       zip(nodes, _verify(first, second))]
+            root_index = second.root
             self.plan = _Compiler(records, root_index, watch).compile()
             self.plan.tail = self._tail
         except TraceInvalid as invalid:
@@ -803,3 +894,220 @@ class EpochJIT:
     def value(self, name: str) -> np.ndarray:
         """Current contents of a watched tensor's arena buffer."""
         return self.plan.watch_bufs[name]
+
+
+# ----------------------------------------------------------------------
+# Served forward replay
+# ----------------------------------------------------------------------
+class ForwardPlan:
+    """A verified forward tape as a flat list of its kernels' calls.
+
+    Each step calls a primitive's forward kernel with ``out=None`` on the
+    slots of its parents and static fields, exactly the call eager makes,
+    so the output is eager's bit for bit.  The plan holds no captured
+    array: parameters and persistent constants are read through their
+    tensors on every run, inputs come from the caller, and each node
+    output lives in a fresh per-run slot list that drops it after its last
+    reader, as eager drops an intermediate.
+    """
+
+    __slots__ = ("steps", "template", "inputs", "live", "output", "replays")
+
+    def __init__(self, steps, template, inputs, live, output):
+        # A step reads its arguments with one ``itemgetter`` call, which
+        # returns the bare value for a single slot: ``many`` says whether
+        # to unpack it.
+        self.steps = [(kernel, itemgetter(*args) if args else _no_args,
+                       len(args) != 1, out, dead)
+                      for kernel, args, out, dead in steps]
+        self.template = template  # slot list with static fields filled in
+        self.inputs = inputs      # slot per declared input
+        self.live = live          # (slot, tensor) read as tensor._data
+        self.output = output
+        self.replays = 0
+
+    def __call__(self, *arrays) -> np.ndarray:
+        values = self.template.copy()
+        for slot, array in zip(self.inputs, arrays):
+            values[slot] = array
+        for slot, owner in self.live:
+            values[slot] = owner._data
+        for kernel, get, many, out, dead in self.steps:
+            values[out] = kernel(*get(values)) if many else kernel(get(values))
+            for slot in dead:
+                values[slot] = None
+        self.replays += 1
+        return values[self.output]
+
+
+def _no_args(values) -> tuple:
+    return ()
+
+
+def _compile_forward(summary: _Summary, specs, inputs: int) -> ForwardPlan:
+    """Lay a verified forward capture out as :class:`ForwardPlan` steps.
+
+    Nodes the output does not depend on are skipped (kernels are pure);
+    a volatile or derived constant is rebuilt just before its first
+    reader, as the eager forward built it.
+    """
+    output = summary.root
+    needed = {output}
+    for i in range(output, -1, -1):
+        if i in needed:
+            for spec in specs[i]:
+                if spec[0] == "node":
+                    needed.add(spec[1])
+                elif spec[0] == "derived":
+                    source = summary.sources[id(spec[1])]
+                    if type(source) is int:
+                        needed.add(source)
+    template: list = [None] * len(summary.nodes)
+    inputs_at = list(range(len(template), len(template) + inputs))
+    template += [None] * inputs
+    live: list[tuple] = []
+    slots: dict[int, int] = {}   # id(leaf tensor) -> slot
+    steps: list[tuple] = []
+
+    def new_slot(value=None) -> int:
+        template.append(value)
+        return len(template) - 1
+
+    def slot_of(spec) -> int:
+        """The slot a parent spec reads; rebuilds are emitted here."""
+        kind = spec[0]
+        if kind == "node":
+            return spec[1]
+        if kind == "input":
+            return inputs_at[spec[1]]
+        tensor = spec[1]
+        if id(tensor) in slots:
+            return slots[id(tensor)]
+        slot = slots[id(tensor)] = new_slot()
+        if kind in ("param", "const"):
+            live.append((slot, tensor))
+        elif kind == "volatile":
+            steps.append((spec[2], (), slot))
+        else:  # derived: from a node, an input or a tensor read live
+            source = summary.sources[id(tensor)]
+            if isinstance(source, Tensor):
+                source = ("const", source)
+            elif type(source) is int:
+                source = ("node", source)
+            steps.append((spec[3], (slot_of(source),), slot))
+        return slot
+
+    for i, (op, ctx, _, _, _) in enumerate(summary.nodes):
+        if i not in needed:
+            continue
+        args = [slot_of(spec) for spec in specs[i]]
+        if ctx is not None:
+            args.append(new_slot(ctx))
+        steps.append((op.forward, tuple(args), i))
+    # Liveness: drop each computed slot after its last reader.
+    last: dict[int, int] = {}
+    for position, (_, args, _) in enumerate(steps):
+        for slot in args:
+            last[slot] = position
+    computed = {out for _, _, out in steps} - {output}
+    dead: list[list[int]] = [[] for _ in steps]
+    for slot, position in last.items():
+        if slot in computed:
+            dead[position].append(slot)
+    return ForwardPlan([(kernel, args, out, tuple(gone))
+                        for (kernel, args, out), gone in zip(steps, dead)],
+                       template, inputs_at, live, output)
+
+
+class ForwardJIT:
+    """Capture → verify → replay for one forward of fixed shapes.
+
+    The served lane forward runs the same ops on every flush of a given
+    row count; only the inputs, the selected parameter rows and the
+    per-lane operators change.  Usage (see
+    :class:`repro.serving.InferenceEngine`)::
+
+        jit = ForwardJIT()
+        out = jit.replay(array)        # None: run this call eagerly
+        if out is None:
+            x = Tensor(array)
+            with jit.capture(x):       # no_grad; records while capturing
+                y = model(x)
+            jit.seal(y)
+            out = y.data
+
+    The first two calls capture with :func:`~repro.autodiff.tensor.
+    record_forward`; :func:`_verify` matches the tapes without value
+    snapshots, and the second capture compiles to a :class:`ForwardPlan`,
+    which keeps none of its arrays.  A failed verification, or a replay
+    that raises, turns the JIT off for good (``disabled_reason`` names the
+    catalogued hazard) and the caller runs eagerly.
+    """
+
+    def __init__(self):
+        self._state = "capture1"
+        self._first: _Summary | None = None
+        self._recorder: _ForwardRecorder | None = None
+        self.plan: ForwardPlan | None = None
+        self.disabled_reason: str | None = None
+
+    @property
+    def ready(self) -> bool:
+        return self._state == "ready"
+
+    @property
+    def off(self) -> bool:
+        return self._state == "off"
+
+    def _disable(self, reason: str) -> None:
+        self._state = "off"
+        self.disabled_reason = reason
+        self._first = None
+        self.plan = None
+
+    @contextlib.contextmanager
+    def capture(self, *inputs: Tensor):
+        """Run the block under ``no_grad``; while capturing, record every
+        op result, with ``inputs`` as the tensors :meth:`replay` feeds."""
+        if self._state not in ("capture1", "capture2"):
+            with _tensor_mod.no_grad():
+                yield
+            return
+        self._recorder = _ForwardRecorder(inputs)
+        with _tensor_mod.record_forward(self._recorder):
+            yield
+
+    def seal(self, output: Tensor) -> None:
+        """Finish a capture of ``output``; the second capture verifies
+        against the first and compiles."""
+        if self._state not in ("capture1", "capture2"):
+            return
+        recorder, self._recorder = self._recorder, None
+        summary = recorder.summary
+        root = recorder.ref(output)
+        summary.root = root if type(root) is int and root >= 0 else None
+        if self._state == "capture1":
+            self._first = summary
+            self._state = "capture2"
+            return
+        first, self._first = self._first, None
+        try:
+            specs = _verify(first, summary, snapshots=False)
+            self.plan = _compile_forward(summary, specs,
+                                         len(recorder.inputs))
+        except TraceInvalid as invalid:
+            self._disable(str(invalid))
+        else:
+            self._state = "ready"
+
+    def replay(self, *arrays) -> np.ndarray | None:
+        """The plan's output for ``arrays``; None when not ready or when
+        the replay raised (the JIT is then off)."""
+        if self._state != "ready":
+            return None
+        try:
+            return self.plan(*arrays)
+        except Exception as error:  # noqa: BLE001 - the caller runs eager
+            self._disable(_reason("forward-replay-raised",
+                                  error=f"{type(error).__name__}: {error}"))
+            return None

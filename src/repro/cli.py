@@ -674,9 +674,10 @@ def _run_serve(args) -> int:
     ok = sum(1 for result in results if result.get("ok"))
     batched = sum(1 for result in results
                   if result.get("ok") and result.get("batched"))
+    replayed = service.engine.stats["replayed"]
     print(f"served {ok}/{len(results)} requests "
-          f"(version {service.version}, {batched} batched)",
-          file=sys.stderr)
+          f"(version {service.version}, {batched} batched, "
+          f"{replayed} replayed)", file=sys.stderr)
     return 0 if ok == len(results) else 1
 
 

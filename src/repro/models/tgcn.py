@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, concat, no_grad
+from ..autodiff.functional import volatile_constant
 from ..nn import GCNConv
 from ..nn.module import Module
 from .base import Forecaster
@@ -67,8 +68,8 @@ class TGCNCell(Module):
     def initial_state(self, leading_shape: tuple[int, ...]) -> Tensor:
         from ..autodiff.tensor import get_default_dtype
 
-        return Tensor(np.zeros(leading_shape + (self.hidden_size,),
-                               dtype=get_default_dtype()))
+        return volatile_constant(np.zeros, leading_shape + (self.hidden_size,),
+                                 get_default_dtype())
 
 
 class TGCNForecaster(Forecaster):

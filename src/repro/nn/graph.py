@@ -18,6 +18,7 @@ from functools import partial
 import numpy as np
 
 from ..autodiff import Tensor, normalize_adjacency
+from ..autodiff.functional import volatile_constant
 from . import init
 from .container import ModuleList
 from .graphcache import cached_chebyshev_basis, cached_normalized_adjacency
@@ -183,7 +184,7 @@ class MixHopPropagation(Module):
     def _row_normalize(adjacency: Tensor) -> Tensor:
         """Row-normalize ``A + I`` inside the autodiff graph."""
         n = adjacency.shape[-1]
-        a = adjacency + Tensor(np.eye(n, dtype=adjacency.dtype))
+        a = adjacency + volatile_constant(np.eye, n, dtype=adjacency.dtype)
         degree = a.sum(axis=-1, keepdims=True) + 1e-10
         return a / degree
 

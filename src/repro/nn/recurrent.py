@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, concat, no_grad, stack
+from ..autodiff.functional import volatile_constant
 from .linear import Linear
 from .module import Module
 
@@ -50,8 +51,8 @@ class GRUCell(Module):
     def initial_state(self, leading_shape: tuple[int, ...]) -> Tensor:
         from ..autodiff.tensor import get_default_dtype
 
-        return Tensor(np.zeros(leading_shape + (self.hidden_size,),
-                               dtype=get_default_dtype()))
+        return volatile_constant(np.zeros, leading_shape + (self.hidden_size,),
+                                 get_default_dtype())
 
 
 class LSTMCell(Module):
@@ -85,9 +86,9 @@ class LSTMCell(Module):
     def initial_state(self, leading_shape: tuple[int, ...]) -> tuple[Tensor, Tensor]:
         from ..autodiff.tensor import get_default_dtype
 
-        zeros = np.zeros(leading_shape + (self.hidden_size,),
-                         dtype=get_default_dtype())
-        return Tensor(zeros.copy()), Tensor(zeros.copy())
+        shape = leading_shape + (self.hidden_size,)
+        return (volatile_constant(np.zeros, shape, get_default_dtype()),
+                volatile_constant(np.zeros, shape, get_default_dtype()))
 
 
 class LSTM(Module):

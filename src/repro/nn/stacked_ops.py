@@ -76,7 +76,8 @@ from .module import Module, Parameter
 from .normalization import LayerNorm
 
 __all__ = ["BATCHED_LANES", "lane_matmul", "lane_matvec", "lane_bias_add",
-           "lane_scale", "lane_affine", "lane_propagate", "lane_mix",
+           "lane_scale", "lane_affine", "lane_propagate", "lane_modulate",
+           "lane_mix",
            "stack_lanes", "LaneSelector"]
 
 
@@ -266,17 +267,33 @@ LANE_SCALE = Primitive(
     lambda x, w, out=None: np.multiply(x, _lane_broadcast(x, w), out=out),
     (_lane_scale_grad, _lane_scale_grad),
     examples=(([(2, 3, 4), (2, 4)], lambda x, w: lane_scale(x, w)),))
+
+def _operator(ctx, xs) -> np.ndarray:
+    """A lane operator op's ``(K, V, V)`` stack: its static field, or its
+    second parent when given as a tensor (see :func:`_apply_operator`)."""
+    return xs[1] if ctx is None else ctx
+
+
+# The operator ops declare one VJP: an operator parent never gets a grad.
 LANE_PROPAGATE = Primitive(
     "lane_propagate", _lane_propagate,
     (lambda ctx, g, y, xs, i, out=None:
-     _lane_propagate(g, ctx.swapaxes(-1, -2), out),),
+     _lane_propagate(g, _operator(ctx, xs).swapaxes(-1, -2), out),),
     operand="operator",
     examples=(([(2, 2, 3, 4)], lambda x: lane_propagate(_OPERATORS, x)),))
+LANE_MODULATE = Primitive(
+    "lane_modulate",
+    lambda x, operator, out=None: np.multiply(_lane_operator(operator, x), x,
+                                              out=out),
+    (lambda ctx, g, y, xs, i, out=None:
+     np.multiply(g, _lane_operator(_operator(ctx, xs), g), out=out),),
+    operand="operator",
+    examples=(([(2, 3, 3, 3)], lambda x: lane_modulate(_OPERATORS, x)),))
 LANE_MIX = Primitive(
     "lane_mix",
     lambda x, operator, out=None: into(_lane_mix(operator, x), out),
     (lambda ctx, g, y, xs, i, out=None:
-     into(_lane_mix(ctx.swapaxes(-1, -2), g), out),),
+     into(_lane_mix(_operator(ctx, xs).swapaxes(-1, -2), g), out),),
     operand="operator",
     examples=(([(2, 2, 3, 4)], lambda x: lane_mix(_OPERATORS, x)),))
 
@@ -375,29 +392,31 @@ def _mix_lanes(matrices: np.ndarray, operand: np.ndarray,
     return np.ascontiguousarray(mixed) if contiguous else mixed
 
 
-def _check_mix(operator: np.ndarray, xd: np.ndarray, name: str) -> None:
-    if operator.ndim != 3 or operator.shape[0] != xd.shape[0]:
-        raise ValueError(f"operator must be (K, V, V) matching x lanes, "
-                         f"got {operator.shape} for x {xd.shape}")
-    if xd.shape[-2] != operator.shape[-1]:
-        raise ValueError(f"{name} got {operator.shape} @ {xd.shape}")
+def _apply_operator(op: Primitive, operator, x: Tensor, name: str) -> Tensor:
+    """``op`` over ``x`` and a ``(K, V, V)`` operator of ``x``'s lanes.
 
-
-def _constant_operator(operator, name: str) -> np.ndarray:
-    """The ``(K, V, V)`` operand of a lane propagation, as an array.
-
-    A tensor that would need an operator gradient raises ``TypeError``
+    An array operator is a static field of the node.  A tensor operator (a
+    served MTGNN's learned graphs, the ASTGCN attentions' ``vs``/``ve``)
+    is its second parent, so a forward plan reads its current value.  A
+    tensor that would need an operator gradient raises ``TypeError``
     instead of being silently detached: a learned ``(K, V, V)`` operator
-    (MTGNN's graph, the ASTGCN attentions' ``vs``/``ve``) has no lane
-    backward, which is what keeps those models' training solo.
+    has no lane backward, which is what keeps those models' training solo.
     """
-    if isinstance(operator, Tensor):
-        if operator.requires_grad and is_grad_enabled():
-            raise TypeError(
-                f"{name}: the (K, V, V) operator requires grad; a learned "
-                f"operator has no lane backward")
-        operator = operator.data
-    return operator
+    data = operator.data if isinstance(operator, Tensor) else operator
+    xd = x.data
+    if data.ndim != 3 or data.shape[0] != xd.shape[0]:
+        raise ValueError(f"operator must be (K, V, V) matching x lanes, "
+                         f"got {data.shape} for x {xd.shape}")
+    if xd.shape[-2] != data.shape[-1] or (
+            op is LANE_MODULATE and xd.shape[-1] != data.shape[-1]):
+        raise ValueError(f"{name} got {data.shape} with {xd.shape}")
+    if not isinstance(operator, Tensor):
+        return Tensor._make(op.forward(xd, data), (x,), op, data)
+    if operator.requires_grad and is_grad_enabled():
+        raise TypeError(
+            f"{name}: the (K, V, V) operator requires grad; a learned "
+            f"operator has no lane backward")
+    return Tensor._make(op.forward(xd, data), (x, operator), op)
 
 
 def lane_propagate(operator, x: Tensor) -> Tensor:
@@ -409,12 +428,27 @@ def lane_propagate(operator, x: Tensor) -> Tensor:
     ``(K, ..., V, C)``.  Forward and backward mirror the solo ``(V, V) @
     (..., V, C)`` matmul branch (the ``_mix`` flatten-to-one-GEMM trick)
     once per lane; the operator is never differentiated (see
-    :func:`_constant_operator`).
+    :func:`_apply_operator`).
     """
-    operator = _constant_operator(operator, "lane_propagate")
-    _check_mix(operator, x.data, "lane_propagate")
-    return Tensor._make(LANE_PROPAGATE.forward(x.data, operator), (x,),
-                        LANE_PROPAGATE, operator)
+    return _apply_operator(LANE_PROPAGATE, operator, x, "lane_propagate")
+
+
+def _lane_operator(operator: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """View a ``(K, V, V)`` stack against ``x`` of shape ``(K, ..., V, V)``."""
+    return operator.reshape(operator.shape[:1] + (1,) * (x.ndim - 3)
+                            + operator.shape[1:])
+
+
+def lane_modulate(operator, x: Tensor) -> Tensor:
+    """Per-lane elementwise ``operator[k] * x[k]`` for a constant ``(K, V,
+    V)`` stack against ``x`` of shape ``(K, ..., V, V)``.
+
+    The lane form of ASTGCN's ``T_k ⊙ S_att``: the solo ``ChebConv``
+    multiplies its basis tensor by the attention, and lane ``k`` here
+    makes the same ``np.multiply`` call on its own rows.  Like
+    :func:`lane_propagate`'s, the operator is never differentiated.
+    """
+    return _apply_operator(LANE_MODULATE, operator, x, "lane_modulate")
 
 
 def lane_mix(operator, x: Tensor) -> Tensor:
@@ -427,10 +461,7 @@ def lane_mix(operator, x: Tensor) -> Tensor:
     block.  Used for the attentions' ``vs``/``ve`` parameters, which, as
     learned operators, have no lane backward.
     """
-    operator = _constant_operator(operator, "lane_mix")
-    _check_mix(operator, x.data, "lane_mix")
-    return Tensor._make(LANE_MIX.forward(x.data, operator), (x,), LANE_MIX,
-                        operator)
+    return _apply_operator(LANE_MIX, operator, x, "lane_mix")
 
 
 # ----------------------------------------------------------------------
@@ -508,11 +539,7 @@ class _LaneChebConv(ChebConv):
         basis = self._basis[order]
         if attention is None:
             return lane_propagate(basis, x)
-        # (K, V, V) -> (K, 1, ..., V, V) against the (K, S, 1, V, V)
-        # attention: the solo ``T_k * S_att`` products, lane by lane.
-        operator = Tensor(basis.reshape(
-            basis.shape[:1] + (1,) * (attention.ndim - 3) + basis.shape[1:]))
-        return (operator * attention) @ x
+        return lane_modulate(basis, attention) @ x
 
 
 def _check_attention(module, x: Tensor, name: str) -> None:
@@ -670,42 +697,74 @@ def stack_lanes(models) -> Module:
     return clone
 
 
-def _take_rows(value, rows: np.ndarray):
-    if isinstance(value, list):
-        return [_take_rows(item, rows) for item in value]
-    taken = value[rows]
-    taken.setflags(write=value.flags.writeable)
-    return taken
-
-
 class LaneSelector:
     """Serve row subsets of one :func:`stack_lanes` model without restacking.
 
     Captures the model's full ``(K, ...)`` parameter stacks and the
     per-lane state its twins name in ``_derived``.  :meth:`select` rebinds
-    the model to rows ``rows`` of them (repeats allowed) and returns it,
-    so lane ``j`` of its output is lane ``rows[j]`` of the full model's,
-    bitwise: a fancy-indexed row holds the values and strides of the
-    ``np.stack`` row it was taken from, and no module is cloned or
-    re-adopted.  The model is rebound in place, so one selection is live
-    at a time and the selector is the model's only user.
+    each parameter to the fancy-indexed rows ``rows`` of its stack
+    (repeats allowed), gathers the per-lane state's rows into per-selector
+    buffers with ``np.take(..., out=)``, and returns the model, so lane
+    ``j`` of its output is lane ``rows[j]`` of the full model's, bitwise:
+    a taken row holds the values and strides of the ``np.stack`` row it
+    came from, and no module is cloned or re-adopted.  The state a module
+    sees is one cached leading-slice view per row count, so every
+    selection of ``n`` rows hands the model's primitives the same operator
+    objects, which a forward plan keyed by ``n`` binds
+    (:class:`~repro.autodiff.trace.ForwardJIT`).  The model is rebound in
+    place, so one selection is live at a time and the selector is the
+    model's only user.
     """
 
     def __init__(self, lanes: Module):
         self.model = lanes
         self._parameters = [(param, param.data)
                             for param in lanes.parameters()]
+        # A list attribute (ChebConv's basis) holds one stack per item.
         self._lane_state = [(module, name, vars(module)[name])
                             for module in lanes.modules()
                             for name in getattr(module, "_derived", ())
                             if name in vars(module)]
+        self._stacks = [stack for _, _, value in self._lane_state
+                        for stack in (value if isinstance(value, list)
+                                      else [value])]
+        self._capacity = 0
+        self._buffers: list[np.ndarray] = []
+        self._by_count: dict[int, tuple] = {}
+
+    def _views(self, count: int) -> tuple:
+        """``(fills, bindings)`` for ``count`` rows: the writable buffer
+        slice each stack's rows go to, and each attribute's value."""
+        cached = self._by_count.get(count)
+        if cached is not None:
+            return cached
+        if count > self._capacity:
+            # Earlier counts keep their views into the old buffers.
+            self._capacity = max(count, 2 * self._capacity)
+            self._buffers = [np.empty((self._capacity,) + stack.shape[1:],
+                                      dtype=stack.dtype)
+                             for stack in self._stacks]
+        fills, views = [], []
+        for stack, buffer in zip(self._stacks, self._buffers):
+            fills.append((stack, buffer[:count]))
+            views.append(buffer[:count])
+            views[-1].setflags(write=stack.flags.writeable)
+        seen = iter(views)
+        bindings = [(module, name, [next(seen) for _ in value]
+                     if isinstance(value, list) else next(seen))
+                    for module, name, value in self._lane_state]
+        cached = self._by_count[count] = (fills, bindings)
+        return cached
 
     def select(self, rows) -> Module:
         rows = np.asarray(rows, dtype=np.intp)
         with no_grad():
             for param, stack in self._parameters:
                 param.data = stack[rows]
-        for module, name, stack in self._lane_state:
-            object.__setattr__(module, name, _take_rows(stack, rows))
+        fills, bindings = self._views(len(rows))
+        for stack, out in fills:
+            np.take(stack, rows, axis=0, out=out)
+        for module, name, value in bindings:
+            object.__setattr__(module, name, value)
         self.model.num_lanes = len(rows)
         return self.model

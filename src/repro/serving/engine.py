@@ -22,6 +22,14 @@ mechanism, forward-only:
   (repeats allowed) under ``no_grad`` in eval mode, which makes every
   batched forecast **bitwise identical** to the individual's solo
   ``predict``,
+* the first two batched flushes of each (shard, row count) run under a
+  forward-only capture (:class:`~repro.autodiff.trace.ForwardJIT`); every
+  later flush of that size replays the verified plan, the same kernels
+  without the eager forward's per-op Python, and a size whose plan does
+  not verify or raises is served by the eager lane forward
+  (``stats["replay_fallbacks"]`` counts them by hazard key),
+* a forecast with a NaN/inf value (a finite window can overflow) is a
+  :class:`RequestFailure` naming the individual and model,
 * an individual whose solo model does not build is left out of its
   shard's lane model, so only its own requests go eager (and fail
   there); a shard whose lane model does not build is recorded once and
@@ -48,7 +56,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.fastpath import lane_blocker
-from ..autodiff import Tensor, get_default_dtype, no_grad, set_default_dtype
+from ..analysis.hazards import match_reason
+from ..autodiff import Tensor, get_default_dtype, set_default_dtype
+from ..autodiff.trace import ForwardJIT
 from ..data.splits import require_finite
 from ..nn import stack_lanes
 from ..nn.stacked_ops import LaneSelector
@@ -63,7 +73,7 @@ __all__ = ["ForecastRequest", "ForecastResponse", "RequestFailure",
 REQUEST_FAILURE_KINDS = ("exception", "timeout")
 
 
-@dataclass
+@dataclass(slots=True)
 class ForecastRequest:
     """One pending forecast: an individual plus an input window."""
 
@@ -81,7 +91,7 @@ class ForecastRequest:
     seq: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ForecastResponse:
     """A served forecast."""
 
@@ -94,7 +104,7 @@ class ForecastResponse:
     elapsed: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestFailure:
     """Structured per-request failure (CellFailure vocabulary).
 
@@ -161,10 +171,16 @@ class InferenceEngine:
         # id(shard) -> (selector, identifier -> lane row), or None when
         # the shard's lane model did not build.
         self._shard_lanes: "dict[int, tuple[LaneSelector, dict] | None]" = {}
+        # (id(shard), rows) -> the forward plan of that flush size.
+        self._plans: "dict[tuple[int, int], ForwardJIT]" = {}
         self._seq = itertools.count()
+        # ``replayed`` counts batched requests served by a forward plan;
+        # ``replay_fallbacks`` counts flush sizes that went eager, per
+        # catalogued hazard key.
         self.stats = {"submitted": 0, "served": 0, "batched": 0,
                       "eager": 0, "failed": 0, "flushes": 0,
-                      "lane_builds": 0}
+                      "lane_builds": 0, "plan_builds": 0, "replayed": 0,
+                      "replay_fallbacks": {}}
 
     # ------------------------------------------------------------------
     # Routing + validation
@@ -270,8 +286,8 @@ class InferenceEngine:
         if not batch:
             return []
         self.stats["flushes"] += 1
-        outcomes = self._process(batch)
-        outcomes.sort(key=lambda outcome: getattr(outcome, "_seq", 0))
+        outcomes = [outcome for _, outcome in sorted(
+            self._process(batch), key=lambda pair: pair[0])]
         for outcome in outcomes:
             if isinstance(outcome, RequestFailure):
                 self.stats["failed"] += 1
@@ -306,6 +322,7 @@ class InferenceEngine:
     # Execution
     # ------------------------------------------------------------------
     def _process(self, batch: "list[ForecastRequest]") -> "list":
+        """``(submission seq, outcome)`` per request."""
         now = time.monotonic()
         outcomes: "list" = []
         groups: "OrderedDict[int, list[ForecastRequest]]" = OrderedDict()
@@ -322,8 +339,7 @@ class InferenceEngine:
                              f"{now - request.deadline:.3f}s before "
                              f"execution"),
                     elapsed=now - request.submitted)
-                failure._seq = request.seq
-                outcomes.append(failure)
+                outcomes.append((request.seq, failure))
                 continue
             shard, _ = self._routes[(request.identifier, request.model_name)]
             groups.setdefault(id(shard), []).append(request)
@@ -336,9 +352,8 @@ class InferenceEngine:
                 results = self._run_group(shard, requests)
             finally:
                 set_default_dtype(previous)
-            for request, outcome in zip(requests, results):
-                outcome._seq = request.seq
-                outcomes.append(outcome)
+            outcomes += [(request.seq, outcome)
+                         for request, outcome in zip(requests, results)]
         return outcomes
 
     def _stackable(self, shard: CohortShard) -> bool:
@@ -417,17 +432,15 @@ class InferenceEngine:
         try:
             model = self._solo_model(shard, request.identifier)
             prediction = model.predict(request.window[None])[0]
+            if not np.isfinite(prediction).all():
+                raise _non_finite(request, prediction)
             self.stats["eager"] += 1
             return ForecastResponse(
                 request_id=request.request_id, identifier=request.identifier,
                 model_name=request.model_name, prediction=prediction,
                 batched=False, elapsed=time.monotonic() - start)
         except Exception as error:  # noqa: BLE001 - per-request isolation
-            error_type, message, _ = describe_exception(error)
-            return RequestFailure(
-                request_id=request.request_id, identifier=request.identifier,
-                kind="exception", error_type=error_type, message=message,
-                elapsed=time.monotonic() - start)
+            return _failure(request, error, time.monotonic() - start)
 
     def _run_stacked(self, shard: CohortShard,
                      requests: "list[ForecastRequest]") -> "list":
@@ -437,14 +450,54 @@ class InferenceEngine:
                                  for request in requests])
         # (K, 1, L, V): each request is one sample in its lane.  The
         # lane model stays in eval mode, so no per-call mode toggle.
-        with no_grad():
-            data = lanes(Tensor(np.stack([request.window[None]
-                                          for request in requests]))).data
+        windows = np.stack([request.window[None] for request in requests])
+        jit = self._plans.get((id(shard), len(requests)))
+        if jit is None:
+            jit = self._plans[id(shard), len(requests)] = ForwardJIT()
+        was_ready, was_off = jit.ready, jit.off
+        data = jit.replay(windows)
+        if data is not None:
+            self.stats["replayed"] += len(requests)
+        else:
+            inputs = Tensor(windows)
+            with jit.capture(inputs):
+                output = lanes(inputs)
+            jit.seal(output)
+            data = output.data
+            self.stats["plan_builds"] += int(jit.ready and not was_ready)
+        if jit.off and not was_off:
+            key = match_reason(jit.disabled_reason)
+            fallbacks = self.stats["replay_fallbacks"]
+            fallbacks[key] = fallbacks.get(key, 0) + 1
         elapsed = time.monotonic() - start
-        self.stats["batched"] += len(requests)
-        return [ForecastResponse(
+        # One check per flush; rows only when it fails.
+        finite = np.isfinite(data).reshape(len(requests), -1)
+        finite = [True] * len(requests) if finite.all() else finite.all(axis=1)
+        outcomes = [ForecastResponse(
             request_id=request.request_id, identifier=request.identifier,
             model_name=request.model_name,
             prediction=np.ascontiguousarray(data[k, 0]), batched=True,
             elapsed=elapsed)
+            if finite[k] else _failure(
+                request, _non_finite(request, data[k, 0]), elapsed)
             for k, request in enumerate(requests)]
+        self.stats["batched"] += sum(map(bool, finite))
+        return outcomes
+
+
+def _non_finite(request: ForecastRequest,
+                prediction: np.ndarray) -> FloatingPointError:
+    """The error a forecast with NaN or inf values is served as."""
+    bad = int(np.size(prediction) - np.isfinite(prediction).sum())
+    return FloatingPointError(
+        f"the {request.model_name} model forecast {bad} non-finite "
+        f"value(s) for {request.identifier!r}")
+
+
+def _failure(request: ForecastRequest, error: Exception,
+             elapsed: float) -> RequestFailure:
+    error_type, message, _ = describe_exception(error)
+    return RequestFailure(
+        request_id=request.request_id, identifier=request.identifier,
+        kind="exception", error_type=error_type, message=message,
+        elapsed=elapsed)

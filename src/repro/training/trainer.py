@@ -23,6 +23,7 @@ construct exactly what the seed loop hardcoded.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,6 +121,19 @@ class TrainerConfig:
                     "instead")
 
 
+@contextlib.contextmanager
+def _span(prof, name: str):
+    """Time the block as a ``trainer`` span of ``prof`` (None: no-op)."""
+    if prof is None:
+        yield
+        return
+    start = prof._begin()
+    try:
+        yield
+    finally:
+        prof._end("trainer", name, "trainer", start, 0)
+
+
 class Trainer:
     """Trains one forecaster on one individual's window set."""
 
@@ -188,7 +202,6 @@ class Trainer:
         jit = None
         if self.config.jit:
             import weakref
-            from functools import partial
 
             from ..autodiff.trace import EpochJIT
 
@@ -200,20 +213,26 @@ class Trainer:
             # reaches the JIT through a weak reference: a cycle would keep
             # the plan's arena (a whole epoch graph) alive after the fit
             # until the cyclic garbage collector happened to run.
-            def _publish_loss() -> None:
-                ctx.loss = jit_ref().loss_value()
+            def _after_backward() -> None:
+                with _span(prof, "after_backward"):
+                    ctx.loss = jit_ref().loss_value()
+                    for hook in after_backward:
+                        hook(ctx)
 
-            jit = EpochJIT(tail=[_publish_loss,
-                                 *(partial(hook, ctx)
-                                   for hook in after_backward),
-                                 lambda: optimizer.step()])
+            jit = EpochJIT(tail=[_after_backward, lambda: optimizer.step()])
             jit_ref = weakref.ref(jit)
         self.last_jit = jit
         was_training = model.training
         model.train()
+        prof = None
         try:
             for hook in self._hooks(stack, "on_fit_start"):
                 hook(ctx)
+            # A profiler entered by a fit-start hook also times the
+            # epoch's bookkeeping between ops, in the spans below.
+            from ..profiling.profiler import active_profiler
+
+            prof = active_profiler()
             for epoch in range(self.config.epochs):
                 ctx.epoch = epoch
                 ctx.grad_norm = None
@@ -221,28 +240,33 @@ class Trainer:
                     hook(ctx)
                 if jit is not None and jit.replay():
                     # Forward+backward+hooks+step ran as the compiled plan.
-                    history.record(ctx.loss, grad_norm=ctx.grad_norm,
-                                   lr=optimizer.lr)
+                    with _span(prof, "record"):
+                        history.record(ctx.loss, grad_norm=ctx.grad_norm,
+                                       lr=optimizer.lr)
                     for hook in epoch_end:
                         hook(ctx)
                     if ctx.stop_requested:
                         break
                     continue
                 optimizer.zero_grad()
-                if jit is not None and jit.wants_capture:
-                    with jit.capture():
-                        loss = loss_fn(model(inputs), targets)
-                        loss.backward()
-                    jit.seal(loss)
-                else:
-                    loss = loss_fn(model(inputs), targets)
+                capturing = jit is not None and jit.wants_capture
+                with jit.capture() if capturing else contextlib.nullcontext():
+                    output = loss_fn(model(inputs), targets)
+                    # Rebinding ``loss`` frees the previous epoch's graph,
+                    # here as before (freeing it earlier was slower).
+                    with _span(prof, "release_graph"):
+                        loss = output
                     loss.backward()
-                ctx.loss = loss.item()
-                for hook in after_backward:
-                    hook(ctx)
+                if capturing:
+                    jit.seal(loss)
+                with _span(prof, "after_backward"):
+                    ctx.loss = loss.item()
+                    for hook in after_backward:
+                        hook(ctx)
                 optimizer.step()
-                history.record(ctx.loss, grad_norm=ctx.grad_norm,
-                               lr=optimizer.lr)
+                with _span(prof, "record"):
+                    history.record(ctx.loss, grad_norm=ctx.grad_norm,
+                                   lr=optimizer.lr)
                 for hook in epoch_end:
                     hook(ctx)
                 if ctx.stop_requested:

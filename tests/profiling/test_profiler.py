@@ -246,3 +246,18 @@ class TestProfilerCallback:
             history = Trainer(config).fit(
                 create_model("lstm", 6, 3, seed=1), _windows())
             assert history.profile is not None
+
+
+class TestEpochBookkeeping:
+    def test_graph_release_and_hooks_are_spanned(self):
+        # Freeing the previous epoch's graph and the after-backward hooks
+        # (grad clipping) are part of an eager epoch's wall-clock; each is
+        # a named trainer span, so coverage does not leak through them.
+        config = TrainerConfig(epochs=3, grad_clip=1.0,
+                               callbacks=(CallbackSpec.make("profiler"),))
+        history = Trainer(config).fit(create_model("lstm", 6, 3, seed=1),
+                                      _windows())
+        counts = {stat.name: stat.count for stat in history.profile.ops
+                  if stat.kind == "trainer"}
+        assert counts == {"release_graph": 3, "after_backward": 3,
+                          "record": 3}

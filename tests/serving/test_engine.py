@@ -357,3 +357,40 @@ class TestRouting:
         assert engine.stats["served"] == 3
         assert engine.stats["batched"] == 3
         assert engine.stats["failed"] == 1
+
+
+class TestNonFiniteForecasts:
+    # A window of 3e38 is finite, so it passes the submit-time check, but
+    # float32 ASTGCN overflows on it and forecasts NaN.
+    HUGE = 3e38
+
+    def huge_window(self):
+        return np.full((L, V), self.HUGE, dtype="float32")
+
+    @pytest.mark.parametrize("use_stacked", [True, False])
+    def test_nan_forecast_is_a_failure_naming_individual_and_model(
+            self, use_stacked):
+        engine, models, shards = engine_for("astgcn", count=2,
+                                            dtype="float32",
+                                            use_stacked=use_stacked)
+        for _ in range(3):  # capture, verify, replay on the batched path
+            engine.submit("p0", self.huge_window())
+            outcomes = engine.submit("p1")
+            bad, good = outcomes
+            assert isinstance(bad, RequestFailure)
+            assert (bad.kind, bad.error_type) == ("exception",
+                                                  "FloatingPointError")
+            assert "'p0'" in bad.message and "astgcn" in bad.message
+            assert isinstance(good, ForecastResponse)
+            assert good.batched == use_stacked
+            window = shards[0].artifacts["p1"].window_tail
+            np.testing.assert_array_equal(
+                good.prediction, reference(models, "p1", window))
+        assert engine.stats["failed"] == 3
+        if use_stacked:
+            assert engine.stats["replayed"] == 2
+
+    def test_sync_forecast_raises_on_nan_forecast(self):
+        engine, _, _ = engine_for("astgcn", count=2, dtype="float32")
+        with pytest.raises(RuntimeError, match="non-finite"):
+            engine.forecast("p0", self.huge_window())

@@ -172,3 +172,22 @@ class TestCLI:
 
         assert main(["serve", "--store", str(store_dir)]) == 2
         assert "--requests" in capsys.readouterr().err
+
+    def test_serve_summary_counts_replayed_requests(self, store_dir,
+                                                    tmp_path, capsys):
+        # Six two-request flushes: two capture, four replay.
+        from repro.cli import main
+
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("\n".join(
+            json.dumps({"id": f"r{i}", "individual": f"p{i % 3}"})
+            for i in range(12)))
+        out_file = tmp_path / "responses.jsonl"
+        assert main(["serve", "--store", str(store_dir), "--requests",
+                     str(requests), "--max-batch-size", "2",
+                     "--max-linger", "60", "--out", str(out_file)]) == 0
+        results = [json.loads(line)
+                   for line in out_file.read_text().splitlines()]
+        assert len(results) == 12
+        assert all(r["ok"] and r["batched"] for r in results)
+        assert "12 batched, 8 replayed)" in capsys.readouterr().err
